@@ -2,99 +2,9 @@
 //! leaky, and daisy-chain programs (the §5.2 worst case).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use golf_bench::marking::{correct_program, daisy_chain, leaky_program, prepared_vm};
 use golf_core::GcEngine;
-use golf_runtime::{FuncBuilder, ProgramSet, Vm, VmConfig};
-
-/// A correct program: `n` goroutines blocked on channels main keeps alive,
-/// plus a linked structure of `n` cells.
-fn correct_program(n: i64) -> ProgramSet {
-    let mut p = ProgramSet::new();
-    let site = p.site("main:worker");
-    let mut b = FuncBuilder::new("worker", 1);
-    let ch = b.param(0);
-    b.recv(ch, None);
-    b.ret(None);
-    let worker = p.define(b);
-
-    let mut b = FuncBuilder::new("main", 0);
-    let head = b.var("head");
-    let tmp = b.var("tmp");
-    let nil = b.var("nil");
-    b.new_cell(head, nil);
-    b.repeat(n, |b, _| {
-        b.new_cell(tmp, head);
-        b.copy(head, tmp);
-    });
-    let ch = b.var("ch");
-    b.repeat(n / 4 + 1, |b, _| {
-        b.make_chan(ch, 0);
-        b.go(worker, &[ch], site);
-        // main keeps each channel alive in the slice below.
-        let keep = b.var("keep");
-        b.new_cell(keep, ch);
-        b.new_cell(tmp, keep); // chain them so everything stays rooted
-    });
-    b.sleep(1_000_000);
-    p.define(b);
-    p
-}
-
-/// A leaky program: `n` goroutines blocked on dropped channels.
-fn leaky_program(n: i64) -> ProgramSet {
-    let mut p = ProgramSet::new();
-    let site = p.site("main:leak");
-    let mut b = FuncBuilder::new("leaky", 1);
-    let ch = b.param(0);
-    let v = b.int(1);
-    b.send(ch, v);
-    b.ret(None);
-    let leaky = p.define(b);
-
-    let mut b = FuncBuilder::new("main", 0);
-    let ch = b.var("ch");
-    b.repeat(n, |b, _| {
-        b.make_chan(ch, 0);
-        b.go(leaky, &[ch], site);
-    });
-    b.clear(ch);
-    b.sleep(1_000_000);
-    p.define(b);
-    p
-}
-
-/// The §5.2 daisy chain: each link's liveness depends on the previous one,
-/// forcing one mark iteration per link.
-fn daisy_chain(n: i64) -> ProgramSet {
-    let mut p = ProgramSet::new();
-    let site = p.site("main:link");
-    let mut b = FuncBuilder::new("link", 2);
-    let mine = b.param(0);
-    b.recv(mine, None);
-    b.ret(None);
-    let link = p.define(b);
-
-    let mut b = FuncBuilder::new("main", 0);
-    let chans: Vec<_> = (0..n).map(|i| b.var(&format!("ch{i}"))).collect();
-    for &ch in &chans {
-        b.make_chan(ch, 0);
-    }
-    for i in 0..(n - 1) as usize {
-        b.go(link, &[chans[i], chans[i + 1]], site);
-    }
-    b.go(link, &[chans[(n - 1) as usize], chans[0]], site);
-    for &ch in &chans[1..] {
-        b.clear(ch);
-    }
-    b.sleep(1_000_000);
-    p.define(b);
-    p
-}
-
-fn prepared_vm(p: ProgramSet) -> Vm {
-    let mut vm = Vm::boot(p, VmConfig::default());
-    vm.run(2_000);
-    vm
-}
+use golf_runtime::ProgramSet;
 
 fn bench_marking(c: &mut Criterion) {
     let mut group = c.benchmark_group("gc_marking");

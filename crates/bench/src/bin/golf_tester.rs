@@ -14,8 +14,6 @@
 //! | (GOMAXPROCS sweep)  | `--procs 1,2,4,10`                    |
 //! | (no equivalent)     | `--trace <path>` (JSONL event trace)  |
 //! | (no equivalent)     | `--seed <n>` (base seed)              |
-//! | (no equivalent)     | `--mark-workers <n>` (parallel mark)  |
-//! | (no equivalent)     | `--shard-bits <n>` (heap shard size)  |
 //! | (no equivalent)     | `--full-gc` (disable incremental GC)  |
 //! | (no equivalent)     | `--no-barrier` (disable write barrier)|
 //!
@@ -25,7 +23,7 @@
 //! ```
 
 use golf_bench::{arg_value, parse_list};
-use golf_core::{GolfConfig, MarkConfig};
+use golf_core::GolfConfig;
 use golf_micro::{corpus, run_perf_comparison, PerfSettings, Table1Config};
 use golf_trace::SharedJsonlSink;
 
@@ -39,17 +37,10 @@ fn main() {
     let base_seed: u64 = arg_value(&args, "--seed")
         .and_then(|v| v.parse().ok())
         .unwrap_or(Table1Config::default().base_seed);
-    let mut mark = MarkConfig::default();
-    if let Some(w) = arg_value(&args, "--mark-workers").and_then(|v| v.parse().ok()) {
-        mark.workers = w;
-    }
-    if let Some(b) = arg_value(&args, "--shard-bits").and_then(|v| v.parse().ok()) {
-        mark.shard_bits = b;
-    }
     // Incremental cycles are on by default; --full-gc forces every cycle to
     // re-mark from scratch, --no-barrier additionally stops the heap from
-    // recording dirty shards (which implies full cycles: quiescence cannot
-    // be proven without the barrier). Results and traces are identical
+    // recording mutations (which implies full cycles: quiescence cannot be
+    // proven without the barrier). Results and traces are identical
     // either way; only the modeled steady-state cost differs.
     let golf =
         GolfConfig { incremental: !args.iter().any(|a| a == "--full-gc"), ..GolfConfig::default() };
@@ -112,7 +103,7 @@ fn main() {
         procs
     );
     eprintln!(
-        "golf-tester: seeds — root {base_seed:#x}, table1 stream {:#x}, per-VM mark stream via seed_for(vm_seed, \"mark\")",
+        "golf-tester: seeds — root {base_seed:#x}, table1 stream {:#x} (seed_for)",
         golf_runtime::seed_for(base_seed, "table1"),
     );
     let table = golf_micro::run_table1_on(
@@ -122,7 +113,6 @@ fn main() {
             runs: repeats,
             trace,
             base_seed,
-            mark,
             golf,
             barrier,
             ..Table1Config::default()

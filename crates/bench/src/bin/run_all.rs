@@ -9,16 +9,13 @@
 //!
 //! `--quick` trades statistical resolution for a fast smoke run (Table 1 at
 //! 10 repetitions instead of 100, shorter service windows). `--seed <n>`
-//! sets the root seed; per-component streams (Table 1 runs, mark engine,
-//! exploration strategies) derive from it via `golf_runtime::seed_for` and
-//! the effective streams are printed in the run header. `--trace <path>`
+//! sets the root seed; per-component streams (Table 1 runs, exploration
+//! strategies) derive from it via `golf_runtime::seed_for` and the
+//! effective streams are printed in the run header. `--trace <path>`
 //! streams a structured JSONL execution trace of the Table 1 sweep.
-//! `--mark-workers <n>` / `--shard-bits <n>` configure the sharded parallel
-//! mark engine for the Table 1 sweep (results are identical for every
-//! worker count; only modeled mark-phase cost changes). `--full-gc`
-//! disables incremental cycle replay and `--no-barrier` disables the
-//! dirty-shard write barrier; both leave every result byte-identical and
-//! only change the modeled steady-state GC cost.
+//! `--full-gc` disables incremental cycle replay and `--no-barrier`
+//! disables the heap write barrier; both leave every result byte-identical
+//! and only change the modeled steady-state GC cost.
 
 use golf_bench::arg_value;
 use golf_metrics::BoxPlot;
@@ -50,13 +47,6 @@ fn main() {
         eprintln!("run_all: streaming Table 1 trace to {path}");
         sink
     });
-    let mut mark = golf_core::MarkConfig::default();
-    if let Some(w) = arg_value(&args, "--mark-workers").and_then(|v| v.parse().ok()) {
-        mark.workers = w;
-    }
-    if let Some(b) = arg_value(&args, "--shard-bits").and_then(|v| v.parse().ok()) {
-        mark.shard_bits = b;
-    }
     let golf = golf_core::GolfConfig {
         incremental: !args.iter().any(|a| a == "--full-gc"),
         ..golf_core::GolfConfig::default()
@@ -76,7 +66,6 @@ fn main() {
     let table1 = run_table1(&Table1Config {
         runs: if quick { 10 } else { 100 },
         trace,
-        mark,
         golf,
         barrier,
         base_seed,

@@ -7,6 +7,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod marking;
+
 /// Parses `--key value` style arguments from `std::env::args`.
 ///
 /// # Example

@@ -58,13 +58,13 @@ pub struct GolfConfig {
     /// liveness fixed point is skipped. Replayed cycles are byte-identical
     /// to the full cycles they stand in for (reports, live sets, modeled
     /// totals, default trace events); only wall-clock fields differ.
-    /// Requires the heap's dirty-shard write barrier
-    /// (`Heap::dirty_tracking`); ignored in [`GcMode::Baseline`].
+    /// Requires the heap's write barrier (`Heap::dirty_tracking`); ignored
+    /// in [`GcMode::Baseline`].
     pub incremental: bool,
-    /// Emit opt-in `gc_dirty_shard` / `gc_incremental_skip` trace events
-    /// describing what the incremental mode observed and skipped. **Off by
-    /// default**: full and incremental runs must produce byte-identical
-    /// default traces, which these forensic events would break.
+    /// Emit the opt-in `gc_incremental_skip` trace event for every replayed
+    /// cycle. **Off by default**: full and incremental runs must produce
+    /// byte-identical default traces, which this forensic event would
+    /// break.
     pub trace_incremental: bool,
 }
 
@@ -77,53 +77,6 @@ impl Default for GolfConfig {
             incremental: true,
             trace_incremental: false,
         }
-    }
-}
-
-/// Configuration of the sharded parallel mark engine (see
-/// [`MarkEngine`](crate::MarkEngine)).
-///
-/// Marking is simulated-parallel: `workers` per-worker deques advance in
-/// deterministic lock-step rounds, stealing bounded batches from victims
-/// chosen in round-robin order keyed by the scheduler seed. The marked set,
-/// aggregate counters and the newly-marked feed (merged in shard order) are
-/// identical for every worker count, so traces stay byte-identical while
-/// the modeled mark-phase critical path shrinks with `workers`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MarkConfig {
-    /// Number of mark workers (≥ 1; values of 0 are treated as 1).
-    pub workers: usize,
-    /// Heap shard size exponent: each shard covers `1 << shard_bits` slots
-    /// and owns one mark bitmap. Roots are distributed to workers by shard.
-    pub shard_bits: u32,
-    /// Work items (deque pops) a worker processes per lock-step round.
-    pub quantum: u32,
-    /// Maximum handles transferred by one steal.
-    pub steal_batch: u32,
-    /// Emit per-worker [`GcMarkWorker`](golf_trace::TraceEvent::GcMarkWorker)
-    /// trace events after each mark phase. **Off by default**: per-worker
-    /// detail necessarily differs between worker counts, so enabling this
-    /// forfeits the traces-identical-across-worker-counts guarantee (reruns
-    /// at the same worker count remain byte-identical).
-    pub trace_workers: bool,
-}
-
-impl Default for MarkConfig {
-    fn default() -> Self {
-        MarkConfig {
-            workers: 1,
-            shard_bits: golf_heap::DEFAULT_SHARD_BITS,
-            quantum: 64,
-            steal_batch: 32,
-            trace_workers: false,
-        }
-    }
-}
-
-impl MarkConfig {
-    /// A config with `workers` workers and everything else default.
-    pub fn with_workers(workers: usize) -> Self {
-        MarkConfig { workers, ..MarkConfig::default() }
     }
 }
 

@@ -2,11 +2,10 @@
 //! liveness fixed point, deadlock reporting, finalizer-preserving recovery,
 //! and sweeping. This module is the reproduction of the paper's §4.2/§5.
 
-use crate::config::{ExpansionStrategy, GcMode, GolfConfig, MarkConfig};
+use crate::config::{ExpansionStrategy, GcMode, GolfConfig};
 use crate::forensics;
 use crate::hints::LivenessHint;
 use crate::mark::Marker;
-use crate::pmark::MarkEngine;
 use crate::report::DeadlockReport;
 use crate::stats::{GcCycleStats, GcTotals, PhaseEvent};
 use golf_runtime::{GStatus, Gid, Goroutine, Value, Vm};
@@ -27,8 +26,6 @@ struct CycleScratch {
     inert_sites: HashSet<Arc<str>>,
     in_roots: HashSet<Gid>,
     inert_gids: HashSet<Gid>,
-    work: Vec<golf_heap::Handle>,
-    children: Vec<golf_heap::Handle>,
     added: Vec<Gid>,
 }
 
@@ -38,8 +35,6 @@ impl CycleScratch {
         self.inert_sites.clear();
         self.in_roots.clear();
         self.inert_gids.clear();
-        self.work.clear();
-        self.children.clear();
         self.added.clear();
     }
 }
@@ -53,9 +48,9 @@ impl CycleScratch {
 /// cached only if it was *steady* — it detected, reclaimed, preserved,
 /// swept, and resurrected nothing — so replaying its outcome is
 /// byte-identical to re-running it. Partial bitmap reuse under mutation is
-/// deliberately NOT attempted: a dirty object dropping its last reference
-/// to a clean-shard object would leave a stale mark (over-live), and a
-/// dirty-shard object reachable only through clean marked objects would
+/// deliberately NOT attempted: a mutated object dropping its last
+/// reference to an unmutated one would leave a stale mark (over-live), and
+/// a new object reachable only through unmutated marked objects would
 /// never be re-discovered (under-marked). Full quiescence is the only
 /// condition under which carrying the bitmap is exact; see DESIGN.md §10.
 #[derive(Debug, Clone)]
@@ -113,7 +108,6 @@ fn spawn_site_is_inert(vm: &Vm, sites: &HashSet<Arc<str>>, g: &Goroutine) -> boo
 pub struct GcEngine {
     mode: GcMode,
     golf: GolfConfig,
-    mark: MarkConfig,
     totals: GcTotals,
     history: Vec<GcCycleStats>,
     reports: Vec<DeadlockReport>,
@@ -133,7 +127,6 @@ impl GcEngine {
         GcEngine {
             mode,
             golf,
-            mark: MarkConfig::default(),
             totals: GcTotals::default(),
             history: Vec::new(),
             reports: Vec::new(),
@@ -143,17 +136,6 @@ impl GcEngine {
             caches: [None, None],
             cycles_replayed: 0,
         }
-    }
-
-    /// Configures the sharded parallel mark engine. Worker count, shard
-    /// size and steal bounds never change *what* is marked or reported —
-    /// only how the marking work is partitioned (and therefore the modeled
-    /// mark-phase critical path). Invalidates the incremental replay cache:
-    /// a cached cycle's worker-dependent stats (`mark_rounds`, `mark_span`)
-    /// are only valid for the config they were computed under.
-    pub fn set_mark_config(&mut self, mark: MarkConfig) {
-        self.mark = mark;
-        self.caches = [None, None];
     }
 
     /// Replaces the GOLF configuration (e.g. `--full-gc` turning
@@ -173,11 +155,6 @@ impl GcEngine {
     /// of being executed.
     pub fn cycles_replayed(&self) -> u64 {
         self.cycles_replayed
-    }
-
-    /// The current mark-engine configuration.
-    pub fn mark_config(&self) -> MarkConfig {
-        self.mark
     }
 
     /// A baseline collector (ordinary Go GC).
@@ -268,14 +245,11 @@ impl GcEngine {
 
         // Quiescence proven: the cached (side-effect-free) cycle would be
         // reproduced byte-for-byte, so replay its outcome. The mark bitmap
-        // from the cached cycle is still exact and is reused wholesale —
-        // `clear_dirty_marks` with an empty dirty set clears nothing and
-        // reports how many marks were carried over.
+        // from the cached cycle is still exact and is reused wholesale.
         stats.cycle = cycle_no;
         stats.incremental_replayed = true;
-        stats.marks_reused = vm.heap_mut().clear_dirty_marks();
+        stats.marks_reused = vm.heap().marked_count() as u64;
         stats.liveness_cache_hits = hits;
-        stats.dirty_shards = 0;
         if vm.trace_enabled() {
             // The default trace events a steady full cycle would emit.
             vm.trace_emit(TraceEvent::GcPhaseBegin { cycle: cycle_no, phase: "mark" });
@@ -341,15 +315,6 @@ impl GcEngine {
         scratch.reset();
 
         // ---- Initialization ----
-        vm.heap_mut().set_shard_bits(self.mark.shard_bits);
-        if vm.heap().dirty_tracking() {
-            stats.dirty_shards = vm.heap().dirty_shard_count() as u64;
-            if self.golf.trace_incremental && vm.trace_enabled() {
-                for s in vm.heap().dirty_shards() {
-                    vm.trace_emit(TraceEvent::GcDirtyShard { cycle: cycle_no, shard: s as u64 });
-                }
-            }
-        }
         // A full clear: partial bitmap reuse under mutation is unsound (see
         // [`CycleCache`]); the bitmap is only ever carried over whole, by
         // the replay path above.
@@ -373,7 +338,7 @@ impl GcEngine {
             }
         }
 
-        let mut marker = MarkEngine::new(self.mark, vm.mark_seed());
+        let mut marker = Marker::new();
         for h in vm.runtime_root_handles() {
             if !scratch.inert_globals.contains(&h) {
                 marker.push_root(h);
@@ -409,57 +374,24 @@ impl GcEngine {
             // §5.3's furthest variant: expand the root set *during* marking.
             // One pass, no restarts; an object's waiters join the worklist
             // the instant the object is blackened.
-            for h in vm.runtime_root_handles() {
-                if !scratch.inert_globals.contains(&h) {
-                    scratch.work.push(h);
-                }
-            }
-            for g in vm.live_goroutines() {
-                if scratch.in_roots.contains(&g.id) {
-                    for h in g.stack_roots() {
-                        scratch.work.push(h);
-                    }
-                }
-            }
-            while let Some(h) = scratch.work.pop() {
-                if !vm.heap_mut().try_mark(h) {
-                    continue;
-                }
-                stats.objects_marked += 1;
-                scratch.children.clear();
-                if let Some(obj) = vm.heap().get(h) {
-                    use golf_heap::Trace;
-                    obj.trace(&mut |child| scratch.children.push(child));
-                }
-                stats.pointer_traversals += scratch.children.len() as u64;
-                for &c in &scratch.children {
-                    if !c.is_masked() && !vm.heap().is_marked(c) {
-                        scratch.work.push(c);
-                    }
-                }
-                // On-the-fly root expansion.
+            while let Some(h) = marker.step(vm.heap_mut()) {
                 for gid in vm.waiters_on(h) {
                     stats.liveness_checks += 1;
                     if scratch.in_roots.contains(&gid) || scratch.inert_gids.contains(&gid) {
                         continue;
                     }
-                    let candidate = vm.goroutine(gid).is_some_and(|g| g.deadlock_candidate());
-                    if candidate {
+                    if let Some(g) = vm.goroutine(gid).filter(|g| g.deadlock_candidate()) {
                         scratch.in_roots.insert(gid);
-                        if let Some(g) = vm.goroutine(gid) {
-                            for root in g.stack_roots() {
-                                scratch.work.push(root);
-                            }
+                        for root in g.stack_roots() {
+                            marker.push_root(root);
                         }
                     }
                 }
             }
             stats.mark_iterations = 1;
-            stats.mark_workers = 1;
-            stats.phases.push(PhaseEvent::MarkIteration {
-                iteration: 1,
-                newly_marked: stats.objects_marked,
-            });
+            stats
+                .phases
+                .push(PhaseEvent::MarkIteration { iteration: 1, newly_marked: marker.marked });
         } else {
             loop {
                 stats.mark_iterations += 1;
@@ -476,7 +408,7 @@ impl GcEngine {
                 scratch.added.clear();
                 match self.golf.expansion {
                     // Incremental expansion happens inside the single-pass
-                    // marking loop above; unreachable here.
+                    // marking loop above.
                     ExpansionStrategy::Incremental => {
                         unreachable!("handled by the single-pass loop")
                     }
@@ -542,13 +474,9 @@ impl GcEngine {
                     .phases
                     .push(PhaseEvent::RootExpansion { goroutines_added: scratch.added.len() });
             }
-            stats.objects_marked = marker.marked();
-            stats.pointer_traversals = marker.traversals();
-            stats.mark_workers = marker.workers() as u32;
-            stats.mark_rounds = marker.rounds();
-            stats.mark_steals = marker.steals();
-            stats.mark_span = marker.span();
         }
+        stats.objects_marked = marker.marked;
+        stats.pointer_traversals = marker.traversals;
         stats.mark_ns = mark_start.elapsed().as_nanos() as u64;
         stats.phases.push(PhaseEvent::MarkDone);
         // The marked count *before* the inert/preserved re-mark passes —
@@ -560,20 +488,6 @@ impl GcEngine {
                 phase: "mark",
                 count: stats.objects_marked,
             });
-            // Per-worker detail is opt-in: it depends on the worker count,
-            // so emitting it by default would break the traces-identical-
-            // across-worker-counts guarantee the determinism CI job checks.
-            if self.mark.trace_workers {
-                for (i, ws) in marker.worker_stats().iter().enumerate() {
-                    vm.trace_emit(TraceEvent::GcMarkWorker {
-                        cycle: cycle_no,
-                        worker: i as u32,
-                        marked: ws.marked,
-                        traversals: ws.traversals,
-                        steals: ws.steals,
-                    });
-                }
-            }
         }
 
         // ---- Deadlock detection & recovery ----
@@ -740,12 +654,6 @@ impl GcEngine {
                 stats: stats.clone(),
             });
         }
-        // Start the next barrier window: dirty bits recorded before this
-        // point are consumed by this cycle's full re-mark.
-        if vm.heap().dirty_tracking() {
-            vm.heap_mut().clear_dirty();
-        }
-
         self.totals.absorb(&stats);
         if self.keep_history {
             self.history.push(stats.clone());

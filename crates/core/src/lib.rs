@@ -68,16 +68,14 @@ pub mod forensics;
 mod hints;
 mod mark;
 pub mod oracle;
-mod pmark;
 mod report;
 mod session;
 mod stats;
 
-pub use config::{ExpansionStrategy, GcMode, GolfConfig, MarkConfig, Pacer, PacerConfig};
+pub use config::{ExpansionStrategy, GcMode, GolfConfig, Pacer, PacerConfig};
 pub use cycle::{preserved_goroutines, GcEngine};
 pub use hints::LivenessHint;
 pub use mark::Marker;
-pub use pmark::{MarkEngine, MarkWorkerStats};
 pub use report::{dedup_counts, DeadlockReport};
 pub use session::Session;
 pub use stats::{GcCycleStats, GcTotals, PhaseEvent};

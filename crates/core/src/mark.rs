@@ -1,20 +1,19 @@
 //! The tricolor marker: worklist-based transitive marking over the heap.
 //!
-//! This is the *sequential* marker, kept for small auxiliary passes
-//! (re-marking hinted-inert roots, preserving deadlocked subgraphs). The
-//! collector's hot path uses the sharded parallel
-//! [`MarkEngine`](crate::MarkEngine) instead; both count work identically
-//! so cycle statistics are independent of which marker ran.
+//! One sequential marker serves every marking pass of a cycle: the mark
+//! iterations of the GOLF fixed point, the single pass of the on-the-fly
+//! `Incremental` expansion (driven through [`Marker::step`]), and the
+//! re-marks of hinted-inert roots and preserved deadlocked subgraphs.
 
 use golf_heap::{Handle, Heap, Trace};
 
 /// A marking worklist with work accounting.
 ///
-/// Gray objects live on the worklist; [`Marker::drain`] blackens them,
-/// pushing their white children. The counters feed the paper's claim that
-/// GOLF performs *the same aggregate marking work* as the baseline (§5.2):
-/// the number of pointer traversals is identical, only partitioned across
-/// more iterations.
+/// Gray objects live on the worklist; [`Marker::step`] blackens them one at
+/// a time, pushing their white children. The counters feed the paper's
+/// claim that GOLF performs *the same aggregate marking work* as the
+/// baseline (§5.2): the number of pointer traversals is identical, only
+/// partitioned across more iterations.
 #[derive(Debug, Default)]
 pub struct Marker {
     work: Vec<Handle>,
@@ -23,8 +22,7 @@ pub struct Marker {
     pub marked: u64,
     /// Pointer traversals so far this cycle: edges followed out of objects
     /// as they were blackened. Each object is traced exactly once, so this
-    /// count is a pure property of the reachable graph — identical across
-    /// marker implementations, schedules and worker counts.
+    /// count is a pure property of the reachable graph.
     pub traversals: u64,
 }
 
@@ -40,38 +38,43 @@ impl Marker {
         self.work.push(h);
     }
 
-    /// Blackens everything reachable from the current worklist. Returns how
-    /// many objects were newly marked by this drain.
+    /// Blackens the next gray object, pushes its unmarked children and
+    /// returns it; `None` once the worklist is empty.
     ///
-    /// Children already marked (or masked) are skipped *before* being
-    /// pushed: re-pushing them only to pop-and-discard inflated the
-    /// worklist traffic — and the `traversals` statistic — by the number of
-    /// shared edges in the graph.
-    pub fn drain<O: Trace, F>(&mut self, heap: &mut Heap<O, F>) -> u64 {
-        let before = self.marked;
-        let mut children = Vec::new();
+    /// Worklist entries that are already marked, masked or stale are
+    /// skipped. Children already marked (or masked) are skipped *before*
+    /// being pushed, so the worklist sees each object at most once per
+    /// parent that found it white.
+    pub fn step<O: Trace, F>(&mut self, heap: &mut Heap<O, F>) -> Option<Handle> {
         while let Some(h) = self.work.pop() {
             if !heap.try_mark(h) {
                 continue; // already marked, masked, or stale
             }
             self.marked += 1;
             self.newly_marked.push(h);
-            children.clear();
             if let Some(obj) = heap.get(h) {
-                obj.trace(&mut |child| children.push(child));
+                obj.trace(&mut |child| {
+                    self.traversals += 1;
+                    if !child.is_masked() && !heap.is_marked(child) {
+                        self.work.push(child);
+                    }
+                });
             }
-            self.traversals += children.len() as u64;
-            for &c in &children {
-                if !c.is_masked() && !heap.is_marked(c) {
-                    self.work.push(c);
-                }
-            }
+            return Some(h);
         }
+        None
+    }
+
+    /// Blackens everything reachable from the current worklist. Returns how
+    /// many objects were newly marked by this drain.
+    pub fn drain<O: Trace, F>(&mut self, heap: &mut Heap<O, F>) -> u64 {
+        let before = self.marked;
+        while self.step(heap).is_some() {}
         self.marked - before
     }
 
-    /// The handles blackened since the last call — the input to the §5.3
-    /// `FromMarked` root-expansion strategy.
+    /// The handles blackened since the last call, in marking order — the
+    /// input to the §5.3 `FromMarked` root-expansion strategy.
     pub fn take_newly_marked(&mut self) -> Vec<Handle> {
         std::mem::take(&mut self.newly_marked)
     }
@@ -124,6 +127,22 @@ mod tests {
         let mut m = Marker::new();
         m.push_root(a);
         assert_eq!(m.drain(&mut heap), 2);
+    }
+
+    #[test]
+    fn step_blackens_one_object_at_a_time() {
+        let mut heap: Heap<Object, Finalizer> = Heap::new();
+        let a = cell(&mut heap, Value::Nil);
+        let b = cell(&mut heap, Value::Ref(a));
+        let mut m = Marker::new();
+        m.push_root(b);
+        m.push_root(b); // duplicate roots are skipped, not re-blackened
+        assert_eq!(m.step(&mut heap), Some(b));
+        assert!(heap.is_marked(b) && !heap.is_marked(a), "b's child is gray, not black");
+        assert_eq!(m.step(&mut heap), Some(a));
+        assert_eq!(m.step(&mut heap), None);
+        assert_eq!((m.marked, m.traversals), (2, 1));
+        assert_eq!(m.take_newly_marked(), vec![b, a]);
     }
 
     #[test]

@@ -150,12 +150,6 @@ impl Session {
         self.gctrace = on;
     }
 
-    /// Configures the sharded parallel mark engine (worker count, shard
-    /// size, steal parameters) for all subsequent collections.
-    pub fn set_mark_config(&mut self, mark: crate::MarkConfig) {
-        self.engine.set_mark_config(mark);
-    }
-
     /// Installs (or removes) a structured trace sink on the underlying VM.
     ///
     /// While a sink is installed, scheduler and GC events stream to it and

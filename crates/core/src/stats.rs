@@ -70,21 +70,8 @@ pub struct GcCycleStats {
     pub objects_marked: u64,
     /// Pointer traversals performed while marking — edges followed out of
     /// objects as they were blackened (the paper's "marking work" —
-    /// identical between baseline and GOLF in aggregate, §5.2, and
-    /// invariant across mark-worker counts).
+    /// identical between baseline and GOLF in aggregate, §5.2).
     pub pointer_traversals: u64,
-    /// Mark workers the sharded engine simulated this cycle.
-    pub mark_workers: u32,
-    /// Lock-step scheduling rounds the mark engine executed. Depends on the
-    /// worker count (unlike `objects_marked`/`pointer_traversals`).
-    pub mark_rounds: u64,
-    /// Steal batches transferred between mark workers.
-    pub mark_steals: u64,
-    /// Modeled parallel critical path of the mark phase, in work items: per
-    /// round, the maximum items any worker processed, summed over rounds.
-    /// `work / span` is the modeled mark throughput `BENCH_mark.json`
-    /// reports.
-    pub mark_span: u64,
     /// `(goroutine, blocking object)` reachability checks — the `S` pairs
     /// factor in the paper's `O(N² + NS)` bound (§5.3).
     pub liveness_checks: u64,
@@ -103,9 +90,6 @@ pub struct GcCycleStats {
     /// comparison instead of re-running the fixed point (every live
     /// goroutine on a replayed cycle, 0 otherwise).
     pub liveness_cache_hits: u64,
-    /// Heap shards the write barrier flagged dirty since the previous
-    /// cycle (0 when the barrier is disabled).
-    pub dirty_shards: u64,
     /// Goroutines reported as deadlocked this cycle.
     pub deadlocks_detected: usize,
     /// Goroutines forcefully shut down this cycle.

@@ -53,14 +53,14 @@
 
 mod dirty;
 mod handle;
-mod shard;
+mod marks;
 mod slot_heap;
 mod stats;
 mod trace;
 
 pub use dirty::DirtyMap;
 pub use handle::Handle;
-pub use shard::{MarkBits, DEFAULT_SHARD_BITS, MAX_SHARD_BITS, MIN_SHARD_BITS};
+pub use marks::MarkBits;
 pub use slot_heap::{Heap, SweepOutcome};
 pub use stats::HeapStats;
 pub use trace::Trace;

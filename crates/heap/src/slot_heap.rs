@@ -1,8 +1,7 @@
-//! The slot-table heap: allocation, sharded mark bitmaps, sweeping,
-//! finalizers.
+//! The slot-table heap: allocation, the mark bitmap, sweeping, finalizers.
 
 use crate::dirty::DirtyMap;
-use crate::shard::MarkBits;
+use crate::marks::MarkBits;
 use crate::{Handle, HeapStats, Trace};
 
 struct Slot<O, F> {
@@ -21,11 +20,8 @@ struct Slot<O, F> {
 /// bumps its generation, so stale handles resolve to `None` rather than to a
 /// recycled object.
 ///
-/// Mark state lives outside the slots, in a sharded bitmap
-/// ([`MarkBits`](crate::MarkBits)): the slot arena is split into fixed
-/// shards of `1 << shard_bits` slots, each with its own dense mark bitmap.
-/// `golf-core`'s parallel mark engine keys worker ownership and output
-/// ordering on these shards; see [`Heap::shard_of`].
+/// Mark state lives outside the slots, in one flat bitmap
+/// ([`MarkBits`](crate::MarkBits)) indexed by slot.
 ///
 /// Finalizers mirror Go's `runtime.SetFinalizer`: an unmarked object with a
 /// finalizer is *not* reclaimed by [`Heap::sweep_unmarked`]; instead its
@@ -84,7 +80,7 @@ impl<O: Trace, F> Heap<O, F> {
         Heap {
             slots: Vec::new(),
             free: Vec::new(),
-            marks: MarkBits::default(),
+            marks: MarkBits::new(),
             dirty: DirtyMap::new(),
             stats: HeapStats::default(),
         }
@@ -95,7 +91,7 @@ impl<O: Trace, F> Heap<O, F> {
         Heap {
             slots: Vec::with_capacity(cap),
             free: Vec::new(),
-            marks: MarkBits::default(),
+            marks: MarkBits::new(),
             dirty: DirtyMap::new(),
             stats: HeapStats::default(),
         }
@@ -113,13 +109,13 @@ impl<O: Trace, F> Heap<O, F> {
             slot.finalizer = None;
             self.marks.clear(idx as usize);
             let generation = slot.generation;
-            self.dirty.record(self.marks.shard_of(idx as usize));
+            self.dirty.record();
             Handle::new(idx, generation)
         } else {
             let idx = u32::try_from(self.slots.len()).expect("heap slot index overflow");
             self.slots.push(Slot { obj: Some(obj), generation: 0, bytes, finalizer: None });
             self.marks.ensure(self.slots.len());
-            self.dirty.record(self.marks.shard_of(idx as usize));
+            self.dirty.record();
             Handle::new(idx, 0)
         }
     }
@@ -151,12 +147,11 @@ impl<O: Trace, F> Heap<O, F> {
     /// Resolves a handle to an exclusive reference. Same `None` cases as
     /// [`Heap::get`].
     ///
-    /// A successful resolution counts as a mutation for the dirty-shard
-    /// write barrier: the caller holds `&mut O` and the collector must
+    /// A successful resolution counts as a mutation for the write barrier: the caller holds `&mut O` and the collector must
     /// assume the object's outgoing references changed.
     pub fn get_mut(&mut self, h: Handle) -> Option<&mut O> {
         self.slot(h)?;
-        self.dirty.record(self.marks.shard_of(h.index() as usize));
+        self.dirty.record();
         self.slot_mut(h).and_then(|s| s.obj.as_mut())
     }
 
@@ -176,7 +171,7 @@ impl<O: Trace, F> Heap<O, F> {
         slot.generation = slot.generation.wrapping_add(1);
         slot.finalizer = None;
         self.marks.clear(h.index() as usize);
-        self.dirty.record(self.marks.shard_of(h.index() as usize));
+        self.dirty.record();
         self.free.push(h.index());
         self.stats.on_free(bytes);
         obj
@@ -193,7 +188,7 @@ impl<O: Trace, F> Heap<O, F> {
     }
 
     /// Clears every mark bit (GC cycle initialization) — a word-wise zeroing
-    /// pass over the shard bitmaps, not a slot walk.
+    /// pass over the bitmap, not a slot walk.
     pub fn clear_marks(&mut self) {
         self.marks.clear_all();
     }
@@ -215,42 +210,10 @@ impl<O: Trace, F> Heap<O, F> {
         self.slot(h).is_some() && self.marks.is_set(h.index() as usize)
     }
 
-    /// Number of objects currently marked (a per-shard popcount; only live
-    /// slots can carry a mark).
+    /// Number of objects currently marked (a popcount; only live slots can
+    /// carry a mark).
     pub fn marked_count(&self) -> usize {
         self.marks.set_count() as usize
-    }
-
-    /// The shard size exponent: each shard covers `1 << shard_bits` slots.
-    pub fn shard_bits(&self) -> u32 {
-        self.marks.shard_bits()
-    }
-
-    /// Number of mark-bitmap shards currently allocated.
-    pub fn shard_count(&self) -> usize {
-        self.marks.shard_count()
-    }
-
-    /// The shard that owns `h`'s slot. The parallel mark engine distributes
-    /// roots to workers by this value and merges newly-marked feeds in shard
-    /// order, so detection ordering is worker-count-invariant.
-    pub fn shard_of(&self, h: Handle) -> usize {
-        self.marks.shard_of(h.index() as usize)
-    }
-
-    /// Re-shards the mark bitmaps to a new `shard_bits` (clamped to the
-    /// supported range), preserving any current marks. Collectors call this
-    /// at cycle initialization when their configured shard size differs.
-    ///
-    /// An actual reshard invalidates the shard geometry the dirty map was
-    /// recorded against, so every shard is flagged dirty and the mutation
-    /// epoch is bumped. A no-op call (same `shard_bits`) records nothing.
-    pub fn set_shard_bits(&mut self, bits: u32) {
-        let before = self.marks.shard_bits();
-        self.marks.reshard(bits);
-        if self.marks.shard_bits() != before {
-            self.dirty.mark_all(self.marks.shard_count());
-        }
     }
 
     /// The monotone heap mutation counter maintained by the write barrier.
@@ -261,7 +224,7 @@ impl<O: Trace, F> Heap<O, F> {
         self.dirty.epoch()
     }
 
-    /// Whether the dirty-shard write barrier is recording mutations
+    /// Whether the write barrier is recording mutations
     /// (default: on).
     pub fn dirty_tracking(&self) -> bool {
         self.dirty.enabled()
@@ -272,39 +235,6 @@ impl<O: Trace, F> Heap<O, F> {
     /// not be trusted.
     pub fn set_dirty_tracking(&mut self, enabled: bool) {
         self.dirty.set_enabled(enabled);
-    }
-
-    /// Number of shards mutated since the last [`Heap::clear_dirty`].
-    pub fn dirty_shard_count(&self) -> usize {
-        self.dirty.dirty_count()
-    }
-
-    /// Indices of shards mutated since the last [`Heap::clear_dirty`],
-    /// ascending.
-    pub fn dirty_shards(&self) -> Vec<usize> {
-        self.dirty.dirty_shards()
-    }
-
-    /// Whether shard `s` was mutated since the last [`Heap::clear_dirty`].
-    pub fn shard_is_dirty(&self, s: usize) -> bool {
-        self.dirty.is_dirty(s)
-    }
-
-    /// Clears the dirty-shard bits (end of a GC cycle, once the collector
-    /// has consumed them). The mutation epoch is untouched.
-    pub fn clear_dirty(&mut self) {
-        self.dirty.clear();
-    }
-
-    /// Incremental alternative to [`Heap::clear_marks`]: zeroes mark bits
-    /// only in shards the write barrier flagged dirty, preserving the
-    /// previous cycle's marks in clean shards. Returns the number of marks
-    /// preserved.
-    pub fn clear_dirty_marks(&mut self) -> u64 {
-        for s in self.dirty.dirty_shards() {
-            self.marks.clear_shard(s);
-        }
-        self.marks.set_count()
     }
 
     /// Reclaims every live, unmarked object — except those with pending
@@ -329,7 +259,7 @@ impl<O: Trace, F> Heap<O, F> {
             slot.obj = None;
             slot.generation = slot.generation.wrapping_add(1);
             let bytes = slot.bytes;
-            self.dirty.record(self.marks.shard_of(idx));
+            self.dirty.record();
             self.free.push(idx as u32);
             self.stats.on_free(bytes);
             outcome.reclaimed_objects += 1;
@@ -349,7 +279,7 @@ impl<O: Trace, F> Heap<O, F> {
             None => false,
         };
         if attached {
-            self.dirty.record(self.marks.shard_of(h.index() as usize));
+            self.dirty.record();
         }
         attached
     }
@@ -363,7 +293,7 @@ impl<O: Trace, F> Heap<O, F> {
     pub fn take_finalizer(&mut self, h: Handle) -> Option<F> {
         let fin = self.slot_mut(h)?.finalizer.take();
         if fin.is_some() {
-            self.dirty.record(self.marks.shard_of(h.index() as usize));
+            self.dirty.record();
         }
         fin
     }
@@ -383,7 +313,7 @@ impl<O: Trace, F> Heap<O, F> {
         let old = slot.bytes;
         slot.bytes = new_bytes;
         self.stats.heap_alloc_bytes = self.stats.heap_alloc_bytes - old + new_bytes;
-        self.dirty.record(self.marks.shard_of(h.index() as usize));
+        self.dirty.record();
     }
 
     /// Iterates over `(handle, object)` pairs for every live object.
@@ -650,21 +580,13 @@ mod tests {
     }
 
     #[test]
-    fn shard_api_tracks_marks() {
+    fn marked_count_tracks_marks() {
         let mut heap: Heap<Node> = Heap::new();
         let handles: Vec<Handle> = (0..10).map(|_| heap.alloc(leaf(1))).collect();
-        assert_eq!(heap.shard_bits(), crate::DEFAULT_SHARD_BITS);
-        assert_eq!(heap.shard_count(), 1, "10 slots fit one shard");
-        assert_eq!(heap.shard_of(handles[0]), 0);
-
         heap.clear_marks();
         for &h in &handles[..4] {
             assert!(heap.try_mark(h));
         }
-        assert_eq!(heap.marked_count(), 4);
-        // Re-sharding preserves marks and liveness checks still hold.
-        heap.set_shard_bits(6);
-        assert_eq!(heap.shard_bits(), 6);
         assert_eq!(heap.marked_count(), 4);
         assert!(heap.is_marked(handles[0]));
         assert!(!heap.is_marked(handles[9]));
@@ -680,7 +602,6 @@ mod tests {
         assert!(heap.dirty_tracking());
         assert_eq!(heap.mutation_epoch(), 0);
         let a = heap.alloc(leaf(1));
-        assert_eq!(heap.dirty_shard_count(), 1);
         let e = heap.mutation_epoch();
         assert!(e > 0);
         // Reads are not mutations.
@@ -704,46 +625,15 @@ mod tests {
     }
 
     #[test]
-    fn clear_dirty_marks_preserves_clean_shards() {
-        // 64-slot shards: fill two shards, mark everything, then dirty only
-        // the second shard and verify the first shard's marks survive.
+    fn marking_is_not_mutation_and_disabled_barrier_freezes_epoch() {
         let mut heap: Heap<Node> = Heap::new();
-        heap.set_shard_bits(6);
-        let handles: Vec<Handle> = (0..128).map(|_| heap.alloc(leaf(1))).collect();
-        heap.clear_marks();
-        for &h in &handles {
-            heap.try_mark(h);
-        }
-        heap.clear_dirty();
-        heap.get_mut(handles[80]).unwrap().payload = 9; // dirties shard 1 only
-        assert_eq!(heap.dirty_shards(), vec![1]);
-        assert!(heap.shard_is_dirty(1));
-        assert!(!heap.shard_is_dirty(0));
-        let preserved = heap.clear_dirty_marks();
-        assert_eq!(preserved, 64, "shard 0's marks carried over");
-        assert!(heap.is_marked(handles[0]));
-        assert!(!heap.is_marked(handles[80]));
+        let handles: Vec<Handle> = (0..70).map(|_| heap.alloc(leaf(1))).collect();
         // Marking/clearing marks is collector state, not mutation.
         let e = heap.mutation_epoch();
         heap.clear_marks();
         heap.try_mark(handles[0]);
         assert_eq!(heap.mutation_epoch(), e);
-    }
-
-    #[test]
-    fn reshard_dirties_everything_and_disabled_barrier_freezes_epoch() {
-        let mut heap: Heap<Node> = Heap::new();
-        heap.set_shard_bits(6);
-        for _ in 0..70 {
-            heap.alloc(leaf(1));
-        }
-        heap.clear_dirty();
-        heap.set_shard_bits(6); // no-op: same geometry
-        assert_eq!(heap.dirty_shard_count(), 0);
-        heap.set_shard_bits(7);
-        assert_eq!(heap.dirty_shard_count(), heap.shard_count(), "reshard dirties all");
         heap.set_dirty_tracking(false);
-        let e = heap.mutation_epoch();
         heap.alloc(leaf(1));
         assert_eq!(heap.mutation_epoch(), e, "disabled barrier records nothing");
         assert!(!heap.dirty_tracking());

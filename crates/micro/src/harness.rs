@@ -1,7 +1,7 @@
 //! Single-run execution of one microbenchmark under GOLF.
 
 use crate::corpus::Microbenchmark;
-use golf_core::{GolfConfig, MarkConfig, Session};
+use golf_core::{GolfConfig, Session};
 use golf_runtime::{PanicPolicy, RunStatus, Vm, VmConfig};
 use golf_trace::{SharedJsonlSink, TraceSink};
 use std::collections::BTreeSet;
@@ -21,14 +21,11 @@ pub struct RunSettings {
     /// When set, the run streams structured trace events into this shared
     /// sink (all runs of a sweep append to the same JSONL file).
     pub trace: Option<SharedJsonlSink>,
-    /// Sharded parallel mark-engine configuration (worker count, shard
-    /// size). Any worker count yields the same results and the same trace.
-    pub mark: MarkConfig,
     /// GOLF collector options: incremental replay (`--full-gc` clears
     /// `golf.incremental`), detection cadence, reclamation. Incremental
     /// and full runs yield the same results and the same trace.
     pub golf: GolfConfig,
-    /// Whether the heap's dirty-shard write barrier records mutations
+    /// Whether the heap's write barrier records mutations
     /// (`--no-barrier` turns it off, which also disables incremental
     /// replay: without the barrier, quiescence cannot be proven).
     pub barrier: bool,
@@ -42,7 +39,6 @@ impl Default for RunSettings {
             tick_budget: 3_000,
             max_instances: 24,
             trace: None,
-            mark: MarkConfig::default(),
             golf: GolfConfig::default(),
             barrier: true,
         }
@@ -110,7 +106,6 @@ pub fn run_benchmark_with_sink(
     };
     let vm = Vm::boot(program, config);
     let mut session = Session::golf(vm);
-    session.set_mark_config(settings.mark);
     session.engine_mut().set_golf_config(settings.golf);
     session.vm_mut().heap_mut().set_dirty_tracking(settings.barrier);
     if let Some(sink) = sink {

@@ -3,7 +3,7 @@
 
 use crate::corpus::{corpus, Microbenchmark};
 use crate::harness::{run_benchmark_with_sink, RunSettings};
-use golf_core::{GolfConfig, MarkConfig};
+use golf_core::GolfConfig;
 use golf_metrics::{Align, Table};
 use golf_trace::{BufferSink, SharedJsonlSink, TraceSink};
 use std::sync::Mutex;
@@ -31,12 +31,10 @@ pub struct Table1Config {
     /// (benchmark, core-count, run) order once all workers finish — the
     /// output is byte-identical for any `threads` value.
     pub trace: Option<SharedJsonlSink>,
-    /// Sharded parallel mark-engine configuration applied to every run.
-    pub mark: MarkConfig,
     /// GOLF collector options applied to every run (`--full-gc` clears
     /// `incremental`).
     pub golf: GolfConfig,
-    /// Whether the dirty-shard write barrier is active (`--no-barrier`).
+    /// Whether the heap's write barrier is active (`--no-barrier`).
     pub barrier: bool,
 }
 
@@ -50,7 +48,6 @@ impl Default for Table1Config {
             max_instances: 24,
             threads: 0,
             trace: None,
-            mark: MarkConfig::default(),
             golf: GolfConfig::default(),
             barrier: true,
         }
@@ -216,7 +213,6 @@ pub fn run_table1_on(benchmarks: &[Microbenchmark], config: &Table1Config) -> Ta
                                 tick_budget: config.tick_budget,
                                 max_instances: config.max_instances,
                                 trace: None,
-                                mark: config.mark,
                                 golf: config.golf,
                                 barrier: config.barrier,
                             },

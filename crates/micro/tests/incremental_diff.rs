@@ -1,17 +1,16 @@
 //! Differential test for incremental GOLF cycles: for every deterministic
-//! goker benchmark, the incremental collector (dirty-shard barrier +
+//! goker benchmark, the incremental collector (write-barrier epoch +
 //! quiescence replay, the default) must produce *exactly* the outcome of
 //! `--full-gc` — the same deadlock reports, the same byte-identical default
 //! trace, the same mode-invariant cycle statistics, the same final
-//! live-heap handle set, and the same modeled totals — across seeds and
-//! mark-worker counts.
+//! live-heap handle set, and the same modeled totals — across seeds.
 //!
 //! Only the explicitly mode-dependent fields (`incremental_replayed`,
 //! `marks_reused`, `liveness_cache_hits` and the wall-clock `*_ns`
 //! timings) may differ; everything else differing is a soundness bug in
 //! the replay path.
 
-use golf_core::{DeadlockReport, GolfConfig, MarkConfig, PhaseEvent, Session};
+use golf_core::{DeadlockReport, GolfConfig, PhaseEvent, Session};
 use golf_micro::{corpus, instances_for, Source};
 use golf_runtime::{PanicPolicy, Vm, VmConfig};
 use golf_trace::{BufferSink, TraceSink};
@@ -25,7 +24,6 @@ struct CycleKey {
     objects_marked: u64,
     pointer_traversals: u64,
     liveness_checks: u64,
-    dirty_shards: u64,
     deadlocks_detected: usize,
     deadlocks_reclaimed: usize,
     preserved_for_finalizers: usize,
@@ -59,7 +57,6 @@ fn cycle_key(c: &golf_core::GcCycleStats) -> CycleKey {
         objects_marked: c.objects_marked,
         pointer_traversals: c.pointer_traversals,
         liveness_checks: c.liveness_checks,
-        dirty_shards: c.dirty_shards,
         deadlocks_detected: c.deadlocks_detected,
         deadlocks_reclaimed: c.deadlocks_reclaimed,
         preserved_for_finalizers: c.preserved_for_finalizers,
@@ -71,12 +68,7 @@ fn cycle_key(c: &golf_core::GcCycleStats) -> CycleKey {
     }
 }
 
-fn run_one(
-    mb: &golf_micro::Microbenchmark,
-    seed: u64,
-    workers: usize,
-    incremental: bool,
-) -> (Outcome, u64) {
+fn run_one(mb: &golf_micro::Microbenchmark, seed: u64, incremental: bool) -> (Outcome, u64) {
     let n = instances_for(mb.flakiness, 24);
     let program = (mb.build)(n);
     let config = VmConfig {
@@ -87,7 +79,6 @@ fn run_one(
     };
     let vm = Vm::boot(program, config);
     let mut session = Session::golf(vm);
-    session.set_mark_config(MarkConfig::with_workers(workers));
     let golf = session.engine().golf_config();
     session.engine_mut().set_golf_config(GolfConfig { incremental, ..golf });
     let buffer = BufferSink::new();
@@ -130,17 +121,15 @@ fn incremental_matches_full_on_deterministic_corpus() {
     let mut total_replayed = 0u64;
     for mb in &det {
         for seed in [0xD1FF_u64, 0x5EED] {
-            for workers in [1usize, 2, 4] {
-                let (full, _) = run_one(mb, seed, workers, false);
-                let (inc, replayed) = run_one(mb, seed, workers, true);
-                assert!(!full.trace.is_empty(), "{}: trace must be recorded", mb.name);
-                assert_eq!(
-                    inc, full,
-                    "{}: incremental outcome diverged from full (seed {seed:#x}, {workers} workers)",
-                    mb.name
-                );
-                total_replayed += replayed;
-            }
+            let (full, _) = run_one(mb, seed, false);
+            let (inc, replayed) = run_one(mb, seed, true);
+            assert!(!full.trace.is_empty(), "{}: trace must be recorded", mb.name);
+            assert_eq!(
+                inc, full,
+                "{}: incremental outcome diverged from full (seed {seed:#x})",
+                mb.name
+            );
+            total_replayed += replayed;
         }
     }
     assert!(

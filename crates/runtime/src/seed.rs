@@ -2,8 +2,8 @@
 //! its own stream from one root seed.
 //!
 //! A single `--seed` on the command line must pin *all* nondeterminism —
-//! the goroutine interleaving, the mark engine's steal-victim rotation,
-//! and any exploration-strategy RNG — without the streams aliasing each
+//! the goroutine interleaving, the Table 1 run seeds and any
+//! exploration-strategy RNG — without the streams aliasing each
 //! other. [`seed_for`] splits a root seed into per-component seeds by
 //! hashing the component's name (FNV-1a) into the root and finalizing with
 //! the SplitMix64 mixer, so distinct component names yield statistically
@@ -21,7 +21,6 @@
 /// |-------------------------|-------------------------------------------|
 /// | `"sched"`               | reserved for the VM scheduler (currently  |
 /// |                         | the root seed itself, for backward-compatible traces) |
-/// | `"mark"`                | mark-engine steal-victim rotation ([`Vm::mark_seed`](crate::Vm::mark_seed)) |
 /// | `"table1"`              | per-run seed stream of the Table 1 sweep  |
 /// | `"strategy"`            | exploration-strategy stream label printed by `run_all` |
 /// | `"strategy/<target>"`   | per-target strategy RNG stream (`golf-explore` campaigns) |
@@ -33,9 +32,9 @@
 /// use golf_runtime::seed_for;
 ///
 /// let root = 42;
-/// assert_eq!(seed_for(root, "mark"), seed_for(root, "mark"));
-/// assert_ne!(seed_for(root, "mark"), seed_for(root, "strategy"));
-/// assert_ne!(seed_for(root, "mark"), seed_for(root + 1, "mark"));
+/// assert_eq!(seed_for(root, "table1"), seed_for(root, "table1"));
+/// assert_ne!(seed_for(root, "table1"), seed_for(root, "strategy"));
+/// assert_ne!(seed_for(root, "table1"), seed_for(root + 1, "table1"));
 /// ```
 pub fn seed_for(root: u64, component: &str) -> u64 {
     // FNV-1a over the component name…
@@ -57,8 +56,8 @@ mod tests {
 
     #[test]
     fn stable_and_distinct() {
-        assert_eq!(seed_for(7, "mark"), seed_for(7, "mark"));
-        let components = ["sched", "mark", "strategy", "table1"];
+        assert_eq!(seed_for(7, "table1"), seed_for(7, "table1"));
+        let components = ["sched", "strategy", "table1", "vm/x", "strategy/x"];
         let mut seen = std::collections::HashSet::new();
         for c in components {
             for root in [0u64, 1, 42, u64::MAX] {
@@ -69,7 +68,7 @@ mod tests {
 
     #[test]
     fn zero_root_is_not_a_fixed_point() {
-        assert_ne!(seed_for(0, "mark"), 0);
+        assert_ne!(seed_for(0, "table1"), 0);
         assert_ne!(seed_for(0, "strategy"), 0);
     }
 }

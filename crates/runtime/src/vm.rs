@@ -620,15 +620,6 @@ impl Vm {
 
     // ---- roots ----
 
-    /// Seed for the collector's mark-worker scheduling (steal-victim
-    /// rotation). Split from the root scheduler seed via
-    /// [`seed_for`](crate::seed_for) so one `VmConfig::seed` pins *both*
-    /// the goroutine interleaving and the mark-phase steal schedule —
-    /// reruns replay byte-identically.
-    pub fn mark_seed(&self) -> u64 {
-        crate::seed_for(self.config.seed, "mark")
-    }
-
     /// Monotone counter bumped whenever the *runtime root set* changes —
     /// a global is written, or a timer (whose channel is a runtime root) is
     /// added or fires. Together with the heap's mutation epoch and the

@@ -143,23 +143,6 @@ pub enum TraceEvent {
         /// swept, ...); `0` when the phase has no natural count.
         count: u64,
     },
-    /// Per-worker summary of one sharded mark phase. Only emitted when the
-    /// collector's `MarkConfig::trace_workers` is enabled: the per-worker
-    /// split necessarily depends on the worker count, so these records are
-    /// excluded from the default trace stream to keep traces byte-identical
-    /// across worker counts.
-    GcMarkWorker {
-        /// GC cycle number.
-        cycle: u64,
-        /// Worker index, `0..workers`.
-        worker: u32,
-        /// Objects this worker blackened.
-        marked: u64,
-        /// Pointer traversals this worker performed.
-        traversals: u64,
-        /// Steal batches this worker pulled from victims.
-        steals: u64,
-    },
     /// The collector proved a goroutine deadlocked (unreachable while
     /// blocked at a deadlock-eligible operation).
     DeadlockDetected {
@@ -176,20 +159,11 @@ pub enum TraceEvent {
         /// The reclaimed goroutine.
         gid: GoId,
     },
-    /// A heap shard the write barrier flagged dirty since the previous GC
-    /// cycle, reported at cycle start. Only emitted when the collector's
-    /// `GolfConfig::trace_incremental` is enabled: the events are forensic
-    /// detail of the incremental mode, and emitting them by default would
-    /// break the full-vs-incremental byte-identical trace guarantee.
-    GcDirtyShard {
-        /// GC cycle number.
-        cycle: u64,
-        /// Dirty shard index.
-        shard: u64,
-    },
     /// The collector proved full quiescence and replayed the previous
-    /// cycle's outcome instead of re-marking. Opt-in via
-    /// `GolfConfig::trace_incremental` (see [`TraceEvent::GcDirtyShard`]).
+    /// cycle's outcome instead of re-marking. Only emitted when the
+    /// collector's `GolfConfig::trace_incremental` is enabled: emitting it
+    /// by default would break the full-vs-incremental byte-identical trace
+    /// guarantee.
     GcIncrementalSkip {
         /// GC cycle number.
         cycle: u64,
@@ -225,8 +199,6 @@ impl TraceEvent {
             | TraceEvent::Reclaimed { gid } => Some(*gid),
             TraceEvent::GcPhaseBegin { .. }
             | TraceEvent::GcPhaseEnd { .. }
-            | TraceEvent::GcMarkWorker { .. }
-            | TraceEvent::GcDirtyShard { .. }
             | TraceEvent::GcIncrementalSkip { .. }
             | TraceEvent::GcTrace { .. } => None,
         }
@@ -248,8 +220,6 @@ impl TraceEvent {
             TraceEvent::SemaDequeue { .. } => "sema_dequeue",
             TraceEvent::GcPhaseBegin { .. } => "gc_phase_begin",
             TraceEvent::GcPhaseEnd { .. } => "gc_phase_end",
-            TraceEvent::GcMarkWorker { .. } => "gc_mark_worker",
-            TraceEvent::GcDirtyShard { .. } => "gc_dirty_shard",
             TraceEvent::GcIncrementalSkip { .. } => "gc_incremental_skip",
             TraceEvent::DeadlockDetected { .. } => "deadlock_detected",
             TraceEvent::Reclaimed { .. } => "reclaimed",
@@ -326,15 +296,6 @@ impl fmt::Display for TraceEvent {
             }
             TraceEvent::GcPhaseEnd { cycle, phase, count } => {
                 write!(f, "GcPhaseEnd cycle={cycle} phase={phase} count={count}")
-            }
-            TraceEvent::GcMarkWorker { cycle, worker, marked, traversals, steals } => {
-                write!(
-                    f,
-                    "GcMarkWorker cycle={cycle} w{worker} marked={marked} trav={traversals} steals={steals}"
-                )
-            }
-            TraceEvent::GcDirtyShard { cycle, shard } => {
-                write!(f, "GcDirtyShard cycle={cycle} shard={shard}")
             }
             TraceEvent::GcIncrementalSkip { cycle, marks_reused, liveness_cached } => {
                 write!(

@@ -100,15 +100,6 @@ impl TraceRecord {
                 push_json_str(&mut out, phase);
                 let _ = write!(out, ",\"count\":{count}");
             }
-            TraceEvent::GcMarkWorker { cycle, worker, marked, traversals, steals } => {
-                let _ = write!(
-                    out,
-                    ",\"cycle\":{cycle},\"worker\":{worker},\"marked\":{marked},\"traversals\":{traversals},\"steals\":{steals}"
-                );
-            }
-            TraceEvent::GcDirtyShard { cycle, shard } => {
-                let _ = write!(out, ",\"cycle\":{cycle},\"shard\":{shard}");
-            }
             TraceEvent::GcIncrementalSkip { cycle, marks_reused, liveness_cached } => {
                 let _ = write!(
                     out,
