@@ -15,7 +15,6 @@
 //! | (no equivalent)     | `--trace <path>` (JSONL event trace)  |
 //! | (no equivalent)     | `--seed <n>` (base seed)              |
 //! | (no equivalent)     | `--full-gc` (disable incremental GC)  |
-//! | (no equivalent)     | `--no-barrier` (disable write barrier)|
 //!
 //! ```text
 //! cargo run --release -p golf-bench --bin golf_tester -- \
@@ -38,13 +37,9 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(Table1Config::default().base_seed);
     // Incremental cycles are on by default; --full-gc forces every cycle to
-    // re-mark from scratch, --no-barrier additionally stops the heap from
-    // recording mutations (which implies full cycles: quiescence cannot be
-    // proven without the barrier). Results and traces are identical
-    // either way; only the modeled steady-state cost differs.
+    // re-mark from scratch. Results and traces are identical either way.
     let golf =
         GolfConfig { incremental: !args.iter().any(|a| a == "--full-gc"), ..GolfConfig::default() };
-    let barrier = !args.iter().any(|a| a == "--no-barrier");
     let trace = arg_value(&args, "--trace").map(|path| {
         let sink = SharedJsonlSink::create(&path)
             .unwrap_or_else(|e| panic!("golf-tester: cannot create trace file {path}: {e}"));
@@ -108,15 +103,7 @@ fn main() {
     );
     let table = golf_micro::run_table1_on(
         &benchmarks,
-        &Table1Config {
-            procs,
-            runs: repeats,
-            trace,
-            base_seed,
-            golf,
-            barrier,
-            ..Table1Config::default()
-        },
+        &Table1Config { procs, runs: repeats, trace, base_seed, golf, ..Table1Config::default() },
     );
 
     let mut out = table.render();

@@ -13,9 +13,8 @@
 //! strategies) derive from it via `golf_runtime::seed_for` and the
 //! effective streams are printed in the run header. `--trace <path>`
 //! streams a structured JSONL execution trace of the Table 1 sweep.
-//! `--full-gc` disables incremental cycle replay and `--no-barrier`
-//! disables the heap write barrier; both leave every result byte-identical
-//! and only change the modeled steady-state GC cost.
+//! `--full-gc` disables incremental cycle replay; every result stays
+//! byte-identical, only the collector's wall-clock time changes.
 
 use golf_bench::arg_value;
 use golf_metrics::BoxPlot;
@@ -51,7 +50,6 @@ fn main() {
         incremental: !args.iter().any(|a| a == "--full-gc"),
         ..golf_core::GolfConfig::default()
     };
-    let barrier = !args.iter().any(|a| a == "--no-barrier");
     let dir = Path::new(&out);
     std::fs::create_dir_all(dir).expect("create results dir");
     eprintln!(
@@ -67,7 +65,6 @@ fn main() {
         runs: if quick { 10 } else { 100 },
         trace,
         golf,
-        barrier,
         base_seed,
         ..Table1Config::default()
     });

@@ -1,13 +1,11 @@
 //! # golf-bench
 //!
 //! Experiment drivers. Each `src/bin/*` binary regenerates one table or
-//! figure of the paper (see DESIGN.md §4 for the index); `benches/` holds
-//! Criterion microbenchmarks of the collector and runtime substrate.
+//! figure of the paper (see DESIGN.md §4 for the index). Wall-clock
+//! performance is measured by the separate `golfbench` benchmark.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod marking;
 
 /// Parses `--key value` style arguments from `std::env::args`.
 ///

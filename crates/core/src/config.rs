@@ -58,14 +58,8 @@ pub struct GolfConfig {
     /// liveness fixed point is skipped. Replayed cycles are byte-identical
     /// to the full cycles they stand in for (reports, live sets, modeled
     /// totals, default trace events); only wall-clock fields differ.
-    /// Requires the heap's write barrier (`Heap::dirty_tracking`); ignored
-    /// in [`GcMode::Baseline`].
+    /// Ignored in [`GcMode::Baseline`].
     pub incremental: bool,
-    /// Emit the opt-in `gc_incremental_skip` trace event for every replayed
-    /// cycle. **Off by default**: full and incremental runs must produce
-    /// byte-identical default traces, which this forensic event would
-    /// break.
-    pub trace_incremental: bool,
 }
 
 impl Default for GolfConfig {
@@ -75,7 +69,6 @@ impl Default for GolfConfig {
             reclaim: true,
             expansion: ExpansionStrategy::Rescan,
             incremental: true,
-            trace_incremental: false,
         }
     }
 }
@@ -161,7 +154,6 @@ mod tests {
         assert_eq!(GolfConfig::default().detect_every, 1);
         assert!(GolfConfig::default().reclaim);
         assert!(GolfConfig::default().incremental, "incremental cycles are the default");
-        assert!(!GolfConfig::default().trace_incremental);
         assert_eq!(PacerConfig::default().growth_factor, 2.0);
     }
 }

@@ -268,13 +268,6 @@ impl GcEngine {
             }
             vm.trace_emit(TraceEvent::GcPhaseBegin { cycle: cycle_no, phase: "sweep" });
             vm.trace_emit(TraceEvent::GcPhaseEnd { cycle: cycle_no, phase: "sweep", count: 0 });
-            if self.golf.trace_incremental {
-                vm.trace_emit(TraceEvent::GcIncrementalSkip {
-                    cycle: cycle_no,
-                    marks_reused: stats.marks_reused,
-                    liveness_cached: hits,
-                });
-            }
         }
         vm.heap_mut().reset_alloc_window();
         stats.mark_ns = 0;
@@ -299,10 +292,7 @@ impl GcEngine {
         let detection = self.mode == GcMode::Golf
             && (cycle_no - 1).is_multiple_of(u64::from(self.golf.detect_every));
 
-        // Incremental mode needs the write barrier: with tracking disabled
-        // the mutation epoch is frozen, so "unchanged" would prove nothing.
-        let incremental =
-            self.mode == GcMode::Golf && self.golf.incremental && vm.heap().dirty_tracking();
+        let incremental = self.mode == GcMode::Golf && self.golf.incremental;
         if incremental {
             if let Some(stats) = self.try_replay(vm, cycle_no, detection, pause_start) {
                 return stats;

@@ -51,14 +51,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod dirty;
 mod handle;
 mod marks;
 mod slot_heap;
 mod stats;
 mod trace;
 
-pub use dirty::DirtyMap;
 pub use handle::Handle;
 pub use marks::MarkBits;
 pub use slot_heap::{Heap, SweepOutcome};

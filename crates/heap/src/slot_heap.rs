@@ -1,6 +1,5 @@
 //! The slot-table heap: allocation, the mark bitmap, sweeping, finalizers.
 
-use crate::dirty::DirtyMap;
 use crate::marks::MarkBits;
 use crate::{Handle, HeapStats, Trace};
 
@@ -51,7 +50,10 @@ pub struct Heap<O, F = ()> {
     slots: Vec<Slot<O, F>>,
     free: Vec<u32>,
     marks: MarkBits,
-    dirty: DirtyMap,
+    /// The write barrier: bumped by every mutating entry point (alloc, free,
+    /// `get_mut`, finalizer changes, size refresh, sweep frees) and never
+    /// reset, so equal reads prove no mutation happened in between.
+    mutation_epoch: u64,
     stats: HeapStats,
 }
 
@@ -81,7 +83,7 @@ impl<O: Trace, F> Heap<O, F> {
             slots: Vec::new(),
             free: Vec::new(),
             marks: MarkBits::new(),
-            dirty: DirtyMap::new(),
+            mutation_epoch: 0,
             stats: HeapStats::default(),
         }
     }
@@ -92,7 +94,7 @@ impl<O: Trace, F> Heap<O, F> {
             slots: Vec::with_capacity(cap),
             free: Vec::new(),
             marks: MarkBits::new(),
-            dirty: DirtyMap::new(),
+            mutation_epoch: 0,
             stats: HeapStats::default(),
         }
     }
@@ -109,13 +111,13 @@ impl<O: Trace, F> Heap<O, F> {
             slot.finalizer = None;
             self.marks.clear(idx as usize);
             let generation = slot.generation;
-            self.dirty.record();
+            self.mutation_epoch += 1;
             Handle::new(idx, generation)
         } else {
             let idx = u32::try_from(self.slots.len()).expect("heap slot index overflow");
             self.slots.push(Slot { obj: Some(obj), generation: 0, bytes, finalizer: None });
             self.marks.ensure(self.slots.len());
-            self.dirty.record();
+            self.mutation_epoch += 1;
             Handle::new(idx, 0)
         }
     }
@@ -151,7 +153,7 @@ impl<O: Trace, F> Heap<O, F> {
     /// assume the object's outgoing references changed.
     pub fn get_mut(&mut self, h: Handle) -> Option<&mut O> {
         self.slot(h)?;
-        self.dirty.record();
+        self.mutation_epoch += 1;
         self.slot_mut(h).and_then(|s| s.obj.as_mut())
     }
 
@@ -171,7 +173,7 @@ impl<O: Trace, F> Heap<O, F> {
         slot.generation = slot.generation.wrapping_add(1);
         slot.finalizer = None;
         self.marks.clear(h.index() as usize);
-        self.dirty.record();
+        self.mutation_epoch += 1;
         self.free.push(h.index());
         self.stats.on_free(bytes);
         obj
@@ -217,24 +219,10 @@ impl<O: Trace, F> Heap<O, F> {
     }
 
     /// The monotone heap mutation counter maintained by the write barrier.
-    /// Equal values at two points in time prove no recorded mutation
-    /// happened in between. Only meaningful while
-    /// [`Heap::dirty_tracking`] is on.
+    /// Equal values at two points in time prove no mutation happened in
+    /// between.
     pub fn mutation_epoch(&self) -> u64 {
-        self.dirty.epoch()
-    }
-
-    /// Whether the write barrier is recording mutations
-    /// (default: on).
-    pub fn dirty_tracking(&self) -> bool {
-        self.dirty.enabled()
-    }
-
-    /// Turns the write barrier on or off (`--no-barrier`). While off,
-    /// [`Heap::mutation_epoch`] is frozen and incremental collection must
-    /// not be trusted.
-    pub fn set_dirty_tracking(&mut self, enabled: bool) {
-        self.dirty.set_enabled(enabled);
+        self.mutation_epoch
     }
 
     /// Reclaims every live, unmarked object — except those with pending
@@ -259,7 +247,7 @@ impl<O: Trace, F> Heap<O, F> {
             slot.obj = None;
             slot.generation = slot.generation.wrapping_add(1);
             let bytes = slot.bytes;
-            self.dirty.record();
+            self.mutation_epoch += 1;
             self.free.push(idx as u32);
             self.stats.on_free(bytes);
             outcome.reclaimed_objects += 1;
@@ -279,7 +267,7 @@ impl<O: Trace, F> Heap<O, F> {
             None => false,
         };
         if attached {
-            self.dirty.record();
+            self.mutation_epoch += 1;
         }
         attached
     }
@@ -293,7 +281,7 @@ impl<O: Trace, F> Heap<O, F> {
     pub fn take_finalizer(&mut self, h: Handle) -> Option<F> {
         let fin = self.slot_mut(h)?.finalizer.take();
         if fin.is_some() {
-            self.dirty.record();
+            self.mutation_epoch += 1;
         }
         fin
     }
@@ -313,7 +301,7 @@ impl<O: Trace, F> Heap<O, F> {
         let old = slot.bytes;
         slot.bytes = new_bytes;
         self.stats.heap_alloc_bytes = self.stats.heap_alloc_bytes - old + new_bytes;
-        self.dirty.record();
+        self.mutation_epoch += 1;
     }
 
     /// Iterates over `(handle, object)` pairs for every live object.
@@ -599,11 +587,10 @@ mod tests {
     #[test]
     fn barrier_records_mutations_and_epoch() {
         let mut heap: Heap<Node, u32> = Heap::new();
-        assert!(heap.dirty_tracking());
         assert_eq!(heap.mutation_epoch(), 0);
         let a = heap.alloc(leaf(1));
         let e = heap.mutation_epoch();
-        assert!(e > 0);
+        assert_eq!(e, 1, "the epoch counts mutations");
         // Reads are not mutations.
         heap.get(a);
         assert!(heap.contains(a));
@@ -625,7 +612,7 @@ mod tests {
     }
 
     #[test]
-    fn marking_is_not_mutation_and_disabled_barrier_freezes_epoch() {
+    fn marking_is_not_mutation() {
         let mut heap: Heap<Node> = Heap::new();
         let handles: Vec<Handle> = (0..70).map(|_| heap.alloc(leaf(1))).collect();
         // Marking/clearing marks is collector state, not mutation.
@@ -633,10 +620,6 @@ mod tests {
         heap.clear_marks();
         heap.try_mark(handles[0]);
         assert_eq!(heap.mutation_epoch(), e);
-        heap.set_dirty_tracking(false);
-        heap.alloc(leaf(1));
-        assert_eq!(heap.mutation_epoch(), e, "disabled barrier records nothing");
-        assert!(!heap.dirty_tracking());
     }
 
     #[test]

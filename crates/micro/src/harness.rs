@@ -25,10 +25,6 @@ pub struct RunSettings {
     /// `golf.incremental`), detection cadence, reclamation. Incremental
     /// and full runs yield the same results and the same trace.
     pub golf: GolfConfig,
-    /// Whether the heap's write barrier records mutations
-    /// (`--no-barrier` turns it off, which also disables incremental
-    /// replay: without the barrier, quiescence cannot be proven).
-    pub barrier: bool,
 }
 
 impl Default for RunSettings {
@@ -40,7 +36,6 @@ impl Default for RunSettings {
             max_instances: 24,
             trace: None,
             golf: GolfConfig::default(),
-            barrier: true,
         }
     }
 }
@@ -107,7 +102,6 @@ pub fn run_benchmark_with_sink(
     let vm = Vm::boot(program, config);
     let mut session = Session::golf(vm);
     session.engine_mut().set_golf_config(settings.golf);
-    session.vm_mut().heap_mut().set_dirty_tracking(settings.barrier);
     if let Some(sink) = sink {
         session.set_trace_sink(Some(sink));
     }

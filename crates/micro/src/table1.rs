@@ -34,8 +34,6 @@ pub struct Table1Config {
     /// GOLF collector options applied to every run (`--full-gc` clears
     /// `incremental`).
     pub golf: GolfConfig,
-    /// Whether the heap's write barrier is active (`--no-barrier`).
-    pub barrier: bool,
 }
 
 impl Default for Table1Config {
@@ -49,7 +47,6 @@ impl Default for Table1Config {
             threads: 0,
             trace: None,
             golf: GolfConfig::default(),
-            barrier: true,
         }
     }
 }
@@ -214,7 +211,6 @@ pub fn run_table1_on(benchmarks: &[Microbenchmark], config: &Table1Config) -> Ta
                                 max_instances: config.max_instances,
                                 trace: None,
                                 golf: config.golf,
-                                barrier: config.barrier,
                             },
                             sink,
                         );

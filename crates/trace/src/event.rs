@@ -159,19 +159,6 @@ pub enum TraceEvent {
         /// The reclaimed goroutine.
         gid: GoId,
     },
-    /// The collector proved full quiescence and replayed the previous
-    /// cycle's outcome instead of re-marking. Only emitted when the
-    /// collector's `GolfConfig::trace_incremental` is enabled: emitting it
-    /// by default would break the full-vs-incremental byte-identical trace
-    /// guarantee.
-    GcIncrementalSkip {
-        /// GC cycle number.
-        cycle: u64,
-        /// Marks carried over from the previous cycle's bitmap.
-        marks_reused: u64,
-        /// Goroutines whose liveness verdict was validated by fingerprint.
-        liveness_cached: u64,
-    },
     /// One line of `gctrace` output, routed through the structured trace
     /// instead of stderr.
     GcTrace {
@@ -199,7 +186,6 @@ impl TraceEvent {
             | TraceEvent::Reclaimed { gid } => Some(*gid),
             TraceEvent::GcPhaseBegin { .. }
             | TraceEvent::GcPhaseEnd { .. }
-            | TraceEvent::GcIncrementalSkip { .. }
             | TraceEvent::GcTrace { .. } => None,
         }
     }
@@ -220,7 +206,6 @@ impl TraceEvent {
             TraceEvent::SemaDequeue { .. } => "sema_dequeue",
             TraceEvent::GcPhaseBegin { .. } => "gc_phase_begin",
             TraceEvent::GcPhaseEnd { .. } => "gc_phase_end",
-            TraceEvent::GcIncrementalSkip { .. } => "gc_incremental_skip",
             TraceEvent::DeadlockDetected { .. } => "deadlock_detected",
             TraceEvent::Reclaimed { .. } => "reclaimed",
             TraceEvent::GcTrace { .. } => "gctrace",
@@ -296,12 +281,6 @@ impl fmt::Display for TraceEvent {
             }
             TraceEvent::GcPhaseEnd { cycle, phase, count } => {
                 write!(f, "GcPhaseEnd cycle={cycle} phase={phase} count={count}")
-            }
-            TraceEvent::GcIncrementalSkip { cycle, marks_reused, liveness_cached } => {
-                write!(
-                    f,
-                    "GcIncrementalSkip cycle={cycle} marks_reused={marks_reused} liveness_cached={liveness_cached}"
-                )
             }
             TraceEvent::DeadlockDetected { gid, reason, location } => {
                 write!(f, "DeadlockDetected {gid} [{reason}] at {location}")

@@ -100,12 +100,6 @@ impl TraceRecord {
                 push_json_str(&mut out, phase);
                 let _ = write!(out, ",\"count\":{count}");
             }
-            TraceEvent::GcIncrementalSkip { cycle, marks_reused, liveness_cached } => {
-                let _ = write!(
-                    out,
-                    ",\"cycle\":{cycle},\"marks_reused\":{marks_reused},\"liveness_cached\":{liveness_cached}"
-                );
-            }
             TraceEvent::DeadlockDetected { reason, location, .. } => {
                 out.push_str(",\"reason\":");
                 push_json_str(&mut out, reason);
