@@ -1,7 +1,7 @@
 //! Artifact-parity tester: mirrors the workflow of the paper artifact's
 //! `./tester/golf-tester` binary (Appendix A.4.2/A.6) — run the
 //! microbenchmark corpus, validate `deadlocks:`-style expectations, and
-//! write a coverage or performance report.
+//! write a coverage report.
 //!
 //! Flag correspondence with the artifact:
 //!
@@ -10,7 +10,7 @@
 //! | `-match <regex>`    | `--match <substring>` (`-` ≡ `_`)     |
 //! | `-repeats <n>`      | `--repeats <n>`                       |
 //! | `-report <path>`    | `--report <path>` (coverage table)    |
-//! | `-perf`             | `--perf` (Mark clock ON/OFF CSV)      |
+//! | `-perf`             | `run_all` → `results/fig4.txt`        |
 //! | (GOMAXPROCS sweep)  | `--procs 1,2,4,10`                    |
 //! | (no equivalent)     | `--trace <path>` (JSONL event trace)  |
 //! | (no equivalent)     | `--seed <n>` (base seed)              |
@@ -23,7 +23,7 @@
 
 use golf_bench::{arg_value, parse_list};
 use golf_core::GolfConfig;
-use golf_micro::{corpus, run_perf_comparison, PerfSettings, Table1Config};
+use golf_micro::{corpus, Table1Config};
 use golf_trace::SharedJsonlSink;
 
 fn main() {
@@ -32,7 +32,6 @@ fn main() {
     let procs = arg_value(&args, "--procs").map(|v| parse_list(&v)).unwrap_or(vec![1, 2, 4, 10]);
     let pattern = arg_value(&args, "--match");
     let report_path = arg_value(&args, "--report");
-    let perf_mode = args.iter().any(|a| a == "--perf");
     let base_seed: u64 = arg_value(&args, "--seed")
         .and_then(|v| v.parse().ok())
         .unwrap_or(Table1Config::default().base_seed);
@@ -47,42 +46,6 @@ fn main() {
         sink
     });
 
-    if perf_mode {
-        if trace.is_some() {
-            eprintln!("golf-tester: --trace is ignored in --perf mode (it would skew timings)");
-        }
-        // Performance mode: the artifact's results-perf.csv, with baseline
-        // (OFF) and GOLF (ON) mark-clock columns.
-        eprintln!("golf-tester: performance mode ({repeats} repeats)…");
-        let rows = run_perf_comparison(&PerfSettings {
-            repetitions: repeats.min(20),
-            ..PerfSettings::default()
-        });
-        let mut csv = String::from(
-            "Benchmark,Mark clock OFF (us),Mark clock ON (us),Slowdown,GC cycles OFF,GC cycles ON\n",
-        );
-        for r in &rows {
-            csv.push_str(&format!(
-                "{},{:.3},{:.3},{:.4},{},{}\n",
-                r.name,
-                r.baseline_mark_us,
-                r.golf_mark_us,
-                r.slowdown,
-                r.baseline_cycles,
-                r.golf_cycles
-            ));
-        }
-        match &report_path {
-            Some(path) => {
-                std::fs::write(path, &csv).expect("write perf report");
-                eprintln!("golf-tester: perf report written to {path}");
-            }
-            None => print!("{csv}"),
-        }
-        return;
-    }
-
-    // Coverage mode: the artifact's ./results report.
     let mut benchmarks = corpus();
     if let Some(pat) = &pattern {
         benchmarks.retain(|b| b.matches(pat));
@@ -92,7 +55,7 @@ fn main() {
         }
     }
     eprintln!(
-        "golf-tester: coverage mode — {} benchmarks, {} repeats x {:?} cores…",
+        "golf-tester: {} benchmarks, {} repeats x {:?} cores…",
         benchmarks.len(),
         repeats,
         procs

@@ -1,19 +1,23 @@
 //! # golf-bench
 //!
-//! Experiment drivers. Each `src/bin/*` binary regenerates one table or
-//! figure of the paper (see DESIGN.md §4 for the index). Wall-clock
-//! performance is measured by the separate `golfbench` benchmark.
+//! Experiment drivers. `run_all` regenerates every table and figure of the
+//! paper into `results/`, one file per renderer in [`artifacts`] (see
+//! DESIGN.md §4 for the index). `golf_tester` mirrors the paper artifact's
+//! tester and `golf_explorer` runs schedule-exploration campaigns.
+//! Wall-clock performance is measured by the separate `golfbench` benchmark.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod artifacts;
 
 /// Parses `--key value` style arguments from `std::env::args`.
 ///
 /// # Example
 ///
 /// ```
-/// let args = vec!["prog".to_string(), "--runs".to_string(), "5".to_string()];
-/// assert_eq!(golf_bench::arg_value(&args, "--runs"), Some("5".to_string()));
+/// let args = vec!["prog".to_string(), "--repeats".to_string(), "5".to_string()];
+/// assert_eq!(golf_bench::arg_value(&args, "--repeats"), Some("5".to_string()));
 /// assert_eq!(golf_bench::arg_value(&args, "--procs"), None);
 /// ```
 pub fn arg_value(args: &[String], key: &str) -> Option<String> {

@@ -123,36 +123,9 @@ impl std::fmt::Display for BoxPlot {
     }
 }
 
-impl BoxPlot {
-    /// Renders a pgfplots `\addplot+[boxplot prepared]` entry, matching
-    /// the LaTeX box plots the paper's artifact exports (`results.tex`).
-    pub fn to_pgfplots(&self, label: &str) -> String {
-        format!(
-            "% {label} (n={n})\n\\addplot+[boxplot prepared={{lower whisker={min:.4}, lower quartile={q1:.4}, median={median:.4}, upper quartile={q3:.4}, upper whisker={max:.4}}}] coordinates {{}};",
-            label = label,
-            n = self.n,
-            min = self.min,
-            q1 = self.q1,
-            median = self.median,
-            q3 = self.q3,
-            max = self.max,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pgfplots_contains_five_numbers() {
-        let b = BoxPlot::of(&[1.0, 2.0, 3.0, 4.0, 5.0]).unwrap();
-        let s = b.to_pgfplots("correct");
-        assert!(s.contains("median=3.0000"));
-        assert!(s.contains("lower whisker=1.0000"));
-        assert!(s.contains("upper whisker=5.0000"));
-        assert!(s.contains("% correct (n=5)"));
-    }
 
     #[test]
     fn percentile_edges() {

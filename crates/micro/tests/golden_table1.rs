@@ -3,9 +3,9 @@
 //! Everything in the harness is deterministic, so these exact counts must
 //! reproduce bit-for-bit. If a legitimate change to the runtime, the
 //! collector, or a benchmark shifts them, re-record the constants here and
-//! re-run the full `table1_micro` calibration (EXPERIMENTS.md documents the
-//! target shape: aggregate ≈ 94.7%, etcd/7443 ≈ 0 except at 10 cores,
-//! grpc/3017 ≈ 0 at 1 core).
+//! regenerate the full Table 1 with `run_all` (`results/table1.txt`;
+//! EXPERIMENTS.md documents the target shape: aggregate ≈ 94.7%,
+//! etcd/7443 ≈ 0 except at 10 cores, grpc/3017 ≈ 0 at 1 core).
 
 use golf_micro::{corpus, run_table1_on, Table1Config};
 

@@ -1,5 +1,5 @@
 //! Cross-crate integration tests asserting the paper's headline claims at
-//! reduced scale (full-scale regeneration lives in `golf-bench`'s bins).
+//! reduced scale (full-scale regeneration is `golf-bench`'s `run_all`).
 
 use golf::core::{GcEngine, GcMode, GolfConfig, Session};
 use golf::detectors::{find_leaks, GoleakOptions};
