@@ -201,15 +201,6 @@ impl Session {
         self.outcome(status)
     }
 
-    /// Runs like [`Session::run`], then forces one final collection — the
-    /// artifact's microbenchmark template (sleep, then `runtime.GC()` in a
-    /// deferred block) baked into the harness.
-    pub fn run_with_final_gc(&mut self, max_ticks: u64) -> RunOutcome {
-        let out = self.run(max_ticks);
-        self.collect();
-        out
-    }
-
     fn outcome(&self, status: RunStatus) -> RunOutcome {
         RunOutcome { status, ticks: self.vm.now(), instrs: self.vm.instrs_executed() }
     }

@@ -1,26 +1,18 @@
 //! # golf-detectors
 //!
-//! The two dynamic baselines the paper compares GOLF against (§1, §7):
+//! The dynamic baseline the paper compares GOLF against (§1, §7):
+//! [`goleak`], like Uber's GOLEAK, inspects the runtime state when a test
+//! finishes and reports every lingering goroutine. Complete for tests
+//! (every leaked goroutine is unterminated at test end) but unusable in
+//! production, and it cannot reclaim anything.
 //!
-//! * [`goleak`] — like Uber's GOLEAK: inspect the runtime state when a test
-//!   finishes and report every lingering goroutine. Complete for tests
-//!   (every leaked goroutine is unterminated at test end) but unusable in
-//!   production, and it cannot reclaim anything.
-//! * [`leakprof`] — like Uber's LEAKPROF: periodically sample goroutine
-//!   profiles in production and flag blocking operations with a high
-//!   concentration of blocked goroutines. Featherlight, but both false
-//!   positives (briefly-congested operations) and false negatives
-//!   (low-volume leaks below the threshold) by design.
-//!
-//! Both operate on the same `golf-runtime` VM that GOLF collects, so the
-//! RQ1(b) comparison (paper Figure 3) runs all detectors over the *same*
+//! It operates on the same `golf-runtime` VM that GOLF collects, so the
+//! RQ1(b) comparison (paper Figure 3) runs both detectors over the *same*
 //! execution.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod goleak;
-pub mod leakprof;
 
 pub use goleak::{find_leaks, find_leaks_with_retry, GoleakOptions, LeakEntry};
-pub use leakprof::{LeakProf, LeakProfWarning};

@@ -2,7 +2,7 @@
 //!
 //! These exercise the `context`-style cancellation plumbing that the CGO'24
 //! study identifies as the dominant leak source in enterprise Go. They are
-//! deliberately **not** part of [`corpus()`](crate::corpus) — Table 1's
+//! deliberately **not** part of [`corpus()`](crate::corpus()) — Table 1's
 //! composition (73 benchmarks / 121 sites) is fixed by the paper — but run
 //! through the same [`Microbenchmark`] harness for tests, examples and
 //! extended sweeps.

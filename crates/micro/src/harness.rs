@@ -3,7 +3,7 @@
 use crate::corpus::Microbenchmark;
 use golf_core::{GolfConfig, Session};
 use golf_runtime::{PanicPolicy, RunStatus, Vm, VmConfig};
-use golf_trace::{SharedJsonlSink, TraceSink};
+use golf_trace::TraceSink;
 use std::collections::BTreeSet;
 
 /// Parameters for one microbenchmark run.
@@ -18,9 +18,6 @@ pub struct RunSettings {
     pub tick_budget: u64,
     /// Cap on concurrent instances for flaky benchmarks.
     pub max_instances: usize,
-    /// When set, the run streams structured trace events into this shared
-    /// sink (all runs of a sweep append to the same JSONL file).
-    pub trace: Option<SharedJsonlSink>,
     /// GOLF collector options: incremental replay (`--full-gc` clears
     /// `golf.incremental`), detection cadence, reclamation. Incremental
     /// and full runs yield the same results and the same trace.
@@ -34,7 +31,6 @@ impl Default for RunSettings {
             seed: 0,
             tick_budget: 3_000,
             max_instances: 24,
-            trace: None,
             golf: GolfConfig::default(),
         }
     }
@@ -76,12 +72,11 @@ pub fn instances_for(flakiness: u32, max_instances: usize) -> usize {
 /// reclamation on), mirroring the artifact's tester: execute until the
 /// deadline, then force a final collection and gather the reports.
 pub fn run_benchmark(mb: &Microbenchmark, settings: &RunSettings) -> BenchRunResult {
-    let sink = settings.trace.clone().map(|s| Box::new(s) as Box<dyn TraceSink>);
-    run_benchmark_with_sink(mb, settings, sink)
+    run_benchmark_with_sink(mb, settings, None)
 }
 
-/// Like [`run_benchmark`], but with an explicit trace sink (overriding
-/// `settings.trace`). Parallel sweeps pass a per-thread
+/// Like [`run_benchmark`], but streaming the run's trace events into
+/// `sink`. Parallel sweeps pass a per-thread
 /// [`BufferSink`](golf_trace::BufferSink) here and merge the buffers
 /// deterministically afterwards.
 pub fn run_benchmark_with_sink(

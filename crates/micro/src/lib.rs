@@ -33,7 +33,6 @@
 #![warn(missing_docs)]
 
 pub mod corpus;
-pub mod fuzz;
 mod harness;
 mod perf;
 pub mod table1;

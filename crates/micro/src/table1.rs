@@ -209,7 +209,6 @@ pub fn run_table1_on(benchmarks: &[Microbenchmark], config: &Table1Config) -> Ta
                                 seed,
                                 tick_budget: config.tick_budget,
                                 max_instances: config.max_instances,
-                                trace: None,
                                 golf: config.golf,
                             },
                             sink,

@@ -253,30 +253,8 @@ impl Vm {
         }
 
         if !ready.is_empty() {
-            // Non-deterministic uniform choice among ready cases (Go spec) —
-            // unless select fuzzing is on, in which case this site's
-            // preferred case wins whenever it is ready (GFuzz's forced
-            // prioritization).
-            let pick = match self.config.select_fuzz {
-                Some(fuzz) if !cases.is_empty() => {
-                    let (func, pc) = {
-                        let g = &self.goroutines[gid.index() as usize];
-                        let f = g.frames.last().expect("no frame");
-                        (f.func.index() as u64, f.pc as u64)
-                    };
-                    let preferred = ((func
-                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                        .wrapping_add(pc)
-                        .wrapping_add(fuzz.wrapping_mul(0xC2B2_AE3D_27D4_EB4F)))
-                        % cases.len() as u64) as usize;
-                    if ready.contains(&preferred) {
-                        preferred
-                    } else {
-                        ready[self.rng.gen_range(0..ready.len())]
-                    }
-                }
-                _ => ready[self.rng.gen_range(0..ready.len())],
-            };
+            // Non-deterministic uniform choice among ready cases (Go spec).
+            let pick = ready[self.rng.gen_range(0..ready.len())];
             let case = &cases[pick];
             let target = case.target;
             let op = case.op.clone();

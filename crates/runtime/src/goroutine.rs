@@ -154,11 +154,6 @@ pub enum GStatus {
 }
 
 impl GStatus {
-    /// Whether the goroutine can be scheduled.
-    pub fn is_runnable(self) -> bool {
-        matches!(self, GStatus::Runnable)
-    }
-
     /// Whether the goroutine is parked.
     pub fn is_waiting(self) -> bool {
         matches!(self, GStatus::Waiting(_))

@@ -70,7 +70,6 @@ mod goroutine;
 mod instr;
 mod interp;
 mod object;
-mod profile;
 mod sched;
 mod seed;
 mod sema;
@@ -86,7 +85,6 @@ pub use instr::{BinOp, Instr, SelOp, SelectCase};
 pub use object::{
     ChanState, CondState, MutexState, Object, RwLockState, TypeId, WaitKind, Waiter, WgState,
 };
-pub use profile::ProfileEntry;
 pub use sched::SchedPolicy;
 pub use seed::seed_for;
 pub use sema::{SemaTreap, SemaWaiter};

@@ -165,14 +165,6 @@ impl Object {
             _ => None,
         }
     }
-
-    /// Convenience mutable accessor for channel state.
-    pub fn as_chan_mut(&mut self) -> Option<&mut ChanState> {
-        match self {
-            Object::Chan(c) => Some(c),
-            _ => None,
-        }
-    }
 }
 
 impl Trace for Object {

@@ -15,16 +15,15 @@
 /// always yields the same seed, and different component names yield
 /// unrelated seeds even for adjacent roots.
 ///
-/// Component names in use across the workspace:
+/// Component names derived across the workspace:
 ///
 /// | component               | consumer                                  |
 /// |-------------------------|-------------------------------------------|
-/// | `"sched"`               | reserved for the VM scheduler (currently  |
-/// |                         | the root seed itself, for backward-compatible traces) |
 /// | `"table1"`              | per-run seed stream of the Table 1 sweep  |
-/// | `"strategy"`            | exploration-strategy stream label printed by `run_all` |
-/// | `"strategy/<target>"`   | per-target strategy RNG stream (`golf-explore` campaigns) |
 /// | `"vm/<target>"`         | per-target VM seed stream (`golf-explore` campaigns) |
+/// | `"strategy/<target>"`   | per-target strategy RNG stream (`golf-explore` campaigns) |
+/// | `"corpus_sweep"`        | `golfbench`'s corpus_sweep run seeds      |
+/// | `"<workload>"`          | `golfbench`'s per-run trace id (`service_leak`, `heap_churn`, `corpus_sweep`) |
 ///
 /// # Example
 ///
@@ -33,7 +32,7 @@
 ///
 /// let root = 42;
 /// assert_eq!(seed_for(root, "table1"), seed_for(root, "table1"));
-/// assert_ne!(seed_for(root, "table1"), seed_for(root, "strategy"));
+/// assert_ne!(seed_for(root, "table1"), seed_for(root, "corpus_sweep"));
 /// assert_ne!(seed_for(root, "table1"), seed_for(root + 1, "table1"));
 /// ```
 pub fn seed_for(root: u64, component: &str) -> u64 {
@@ -57,7 +56,7 @@ mod tests {
     #[test]
     fn stable_and_distinct() {
         assert_eq!(seed_for(7, "table1"), seed_for(7, "table1"));
-        let components = ["sched", "strategy", "table1", "vm/x", "strategy/x"];
+        let components = ["table1", "vm/x", "strategy/x", "corpus_sweep", "heap_churn"];
         let mut seen = std::collections::HashSet::new();
         for c in components {
             for root in [0u64, 1, 42, u64::MAX] {
@@ -69,6 +68,6 @@ mod tests {
     #[test]
     fn zero_root_is_not_a_fixed_point() {
         assert_ne!(seed_for(0, "table1"), 0);
-        assert_ne!(seed_for(0, "strategy"), 0);
+        assert_ne!(seed_for(0, "corpus_sweep"), 0);
     }
 }

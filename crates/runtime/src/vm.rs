@@ -73,12 +73,6 @@ pub struct VmConfig {
     pub panic_policy: PanicPolicy,
     /// Allocation-assist (memory pressure) modeling; `None` disables it.
     pub assist: Option<AssistConfig>,
-    /// GFuzz-style select-order fuzzing (paper §7 future work): when set,
-    /// each `select` site deterministically *prefers* one of its ready
-    /// cases, derived from the site location and this seed. Sweeping the
-    /// seed systematically explores case orderings that uniform choice
-    /// only hits by luck.
-    pub select_fuzz: Option<u64>,
 }
 
 impl Default for VmConfig {
@@ -89,7 +83,6 @@ impl Default for VmConfig {
             max_quantum: 8,
             panic_policy: PanicPolicy::default(),
             assist: None,
-            select_fuzz: None,
         }
     }
 }
@@ -349,11 +342,6 @@ impl Vm {
         self.sched_policy = policy;
     }
 
-    /// Whether a scheduling policy is installed.
-    pub fn has_sched_policy(&self) -> bool {
-        self.sched_policy.is_some()
-    }
-
     // ---- tracing ----
 
     /// Installs (or removes) the execution-trace sink. Installing a sink
@@ -470,9 +458,10 @@ impl Vm {
         self.goroutines.iter().filter(|g| g.status != GStatus::Dead)
     }
 
-    /// The ids of every non-dead goroutine.
-    pub fn live_gids(&self) -> Vec<Gid> {
-        self.live_goroutines().map(|g| g.id).collect()
+    /// Number of user goroutines currently blocked at deadlock-eligible
+    /// operations (the y-axis of the paper's Figure 1).
+    pub fn blocked_count(&self) -> usize {
+        self.live_goroutines().filter(|g| g.deadlock_candidate()).count()
     }
 
     /// Number of non-dead goroutines.

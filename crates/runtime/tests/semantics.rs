@@ -725,33 +725,3 @@ fn goroutine_slots_are_reused() {
     assert_eq!(vm.run(100_000).status, RunStatus::MainDone);
     assert!(vm.counters().reused >= 10, "expected slot reuse, got {:?}", vm.counters());
 }
-
-#[test]
-fn goroutine_profile_buckets_by_location() {
-    let mut p = ProgramSet::new();
-    let site = p.site("leaky:spawn");
-    let mut b = FuncBuilder::new("leaky", 1);
-    let ch = b.param(0);
-    let v = b.int(1);
-    b.send(ch, v);
-    let leaky = p.define(b);
-
-    let mut b = FuncBuilder::new("main", 0);
-    let ch = b.var("ch");
-    b.make_chan(ch, 0);
-    b.repeat(5, |b, _| {
-        b.go(leaky, &[ch], site);
-    });
-    b.sleep(20);
-    b.ret(None);
-    p.define(b);
-
-    let mut vm = boot(p);
-    assert_eq!(vm.run(10_000).status, RunStatus::MainDone);
-    let profile = vm.goroutine_profile();
-    assert_eq!(profile.len(), 1, "one bucket: {profile:?}");
-    assert_eq!(profile[0].count, 5);
-    assert_eq!(profile[0].wait_reason, WaitReason::ChanSend);
-    assert_eq!(profile[0].spawn_site.as_deref(), Some("leaky:spawn"));
-    assert_eq!(vm.blocked_count(), 5);
-}

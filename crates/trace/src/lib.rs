@@ -2,7 +2,7 @@
 //!
 //! Structured execution tracing for the golf runtime, modeled on Go's
 //! `runtime/trace`: a typed event vocabulary ([`TraceEvent`]), pluggable
-//! sinks ([`TraceSink`] — [`NullSink`], [`JsonlSink`], [`SharedJsonlSink`]),
+//! sinks ([`TraceSink`] — [`SharedJsonlSink`], [`BufferSink`], [`VecSink`]),
 //! an always-bounded [`FlightRecorder`] ring for post-hoc forensics, and a
 //! small counter/gauge [`MetricsRegistry`].
 //!
@@ -40,7 +40,7 @@ mod sink;
 pub use event::{GoId, TraceEvent, TraceRecord};
 pub use metrics::MetricsRegistry;
 pub use recorder::{FlightRecorder, DEFAULT_FLIGHT_RECORDER_CAPACITY};
-pub use sink::{BufferSink, JsonlSink, NullSink, SharedJsonlSink, TraceSink, VecSink};
+pub use sink::{BufferSink, SharedJsonlSink, TraceSink, VecSink};
 
 /// Per-VM tracing front end: an optional sink plus the flight recorder.
 ///
@@ -96,11 +96,6 @@ impl Tracer {
         self.recorder_enabled = on;
     }
 
-    /// Replaces the flight recorder (e.g. to change its capacity).
-    pub fn set_recorder(&mut self, recorder: FlightRecorder) {
-        self.recorder = recorder;
-    }
-
     /// Read access to the flight recorder.
     pub fn recorder(&self) -> &FlightRecorder {
         &self.recorder
@@ -139,7 +134,7 @@ mod tests {
     #[test]
     fn emit_stamps_monotonic_seq_and_feeds_recorder() {
         let mut tracer = Tracer::new();
-        tracer.set_sink(Some(Box::new(NullSink)));
+        tracer.set_sink(Some(Box::new(VecSink::new())));
         assert!(tracer.enabled());
         for tick in [3u64, 3, 5] {
             tracer.emit(tick, TraceEvent::GoUnblock { gid: GoId::new(0, 0) });

@@ -20,66 +20,6 @@ pub trait TraceSink: Send {
     fn flush(&mut self) {}
 }
 
-/// Sink that discards everything; the explicit "tracing off" sink.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn emit(&mut self, _record: &TraceRecord) {}
-}
-
-/// Sink that streams records as JSON Lines to a writer.
-pub struct JsonlSink<W: Write + Send> {
-    // `None` only after `into_inner`; lets Drop flush without blocking the
-    // move out.
-    writer: Option<W>,
-}
-
-impl JsonlSink<BufWriter<File>> {
-    /// Creates (truncating) `path` and streams JSONL to it.
-    pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
-        Ok(JsonlSink::new(BufWriter::new(File::create(path)?)))
-    }
-}
-
-impl<W: Write + Send> JsonlSink<W> {
-    /// Wraps an arbitrary writer.
-    pub fn new(writer: W) -> Self {
-        JsonlSink { writer: Some(writer) }
-    }
-
-    /// Flushes and returns the underlying writer.
-    pub fn into_inner(mut self) -> W {
-        let mut writer = self.writer.take().expect("writer already taken");
-        let _ = writer.flush();
-        writer
-    }
-}
-
-impl<W: Write + Send> TraceSink for JsonlSink<W> {
-    fn emit(&mut self, record: &TraceRecord) {
-        // Trace I/O must never kill the traced program; drop the line on
-        // write failure like Go's tracer does on a full pipe.
-        if let Some(writer) = &mut self.writer {
-            let _ = writeln!(writer, "{}", record.to_jsonl());
-        }
-    }
-
-    fn flush(&mut self) {
-        if let Some(writer) = &mut self.writer {
-            let _ = writer.flush();
-        }
-    }
-}
-
-impl<W: Write + Send> Drop for JsonlSink<W> {
-    fn drop(&mut self) {
-        if let Some(writer) = &mut self.writer {
-            let _ = writer.flush();
-        }
-    }
-}
-
 /// Cloneable JSONL sink writing through a shared, locked writer.
 ///
 /// The bench drivers run many sessions (one per benchmark × run) that should
@@ -191,27 +131,5 @@ impl VecSink {
 impl TraceSink for VecSink {
     fn emit(&mut self, record: &TraceRecord) {
         self.records.lock().expect("VecSink poisoned").push(record.clone());
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::event::{GoId, TraceEvent};
-
-    #[test]
-    fn jsonl_sink_writes_one_line_per_record() {
-        let mut sink = JsonlSink::new(Vec::new());
-        for seq in 0..3 {
-            sink.emit(&TraceRecord {
-                tick: 9,
-                seq,
-                event: TraceEvent::GoEnd { gid: GoId::new(1, 0) },
-            });
-        }
-        let bytes = sink.into_inner();
-        let text = String::from_utf8(bytes).unwrap();
-        assert_eq!(text.lines().count(), 3);
-        assert!(text.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
     }
 }

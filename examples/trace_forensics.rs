@@ -33,8 +33,8 @@ fn main() {
     p.define(b);
 
     let mut session = Session::golf(Vm::boot(p, VmConfig::default()));
-    // A VecSink collects records in memory; JsonlSink::create(path) streams
-    // the same lines to a file (the bench binaries' --trace flag).
+    // A VecSink collects records in memory; SharedJsonlSink::create(path)
+    // streams the same lines to a file (the bench binaries' --trace flag).
     let sink = VecSink::new();
     session.set_trace_sink(Some(Box::new(sink.clone())));
     session.run(10_000);

@@ -319,7 +319,7 @@ pub mod collection {
     use crate::test_runner::TestRng;
     use std::ops::Range;
 
-    /// Length specification for [`vec`]: an exact `usize` or a half-open
+    /// Length specification for [`vec()`]: an exact `usize` or a half-open
     /// `Range<usize>`.
     #[derive(Clone, Debug)]
     pub struct SizeRange {

@@ -14,7 +14,7 @@
 //! * [`core`] — the collector: baseline tricolor mark-sweep plus the GOLF
 //!   extension (reachable-liveness fixed point, deadlock detection,
 //!   finalizer-preserving recovery).
-//! * [`detectors`] — the GOLEAK and LEAKPROF baselines.
+//! * [`detectors`] — the GOLEAK baseline.
 //! * [`explore`] — systematic schedule exploration, record/replay, and
 //!   shrinking for interleaving-dependent leaks (random walk, PCT,
 //!   delay-bounded strategies over the scheduler-policy hook).
