@@ -24,7 +24,8 @@
 use golf_bench::{arg_value, parse_list};
 use golf_core::GolfConfig;
 use golf_micro::{corpus, Table1Config};
-use golf_trace::SharedJsonlSink;
+use std::fs::File;
+use std::io::{BufWriter, Write};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -39,11 +40,11 @@ fn main() {
     // re-mark from scratch. Results and traces are identical either way.
     let golf =
         GolfConfig { incremental: !args.iter().any(|a| a == "--full-gc"), ..GolfConfig::default() };
-    let trace = arg_value(&args, "--trace").map(|path| {
-        let sink = SharedJsonlSink::create(&path)
+    let trace_file = arg_value(&args, "--trace").map(|path| {
+        let file = File::create(&path)
             .unwrap_or_else(|e| panic!("golf-tester: cannot create trace file {path}: {e}"));
-        eprintln!("golf-tester: streaming trace to {path}");
-        sink
+        eprintln!("golf-tester: writing trace to {path}");
+        (path, BufWriter::new(file))
     });
 
     let mut benchmarks = corpus();
@@ -66,8 +67,22 @@ fn main() {
     );
     let table = golf_micro::run_table1_on(
         &benchmarks,
-        &Table1Config { procs, runs: repeats, trace, base_seed, golf, ..Table1Config::default() },
+        &Table1Config {
+            procs,
+            runs: repeats,
+            trace: trace_file.is_some(),
+            base_seed,
+            golf,
+            ..Table1Config::default()
+        },
     );
+    if let Some((path, mut file)) = trace_file {
+        for block in &table.trace {
+            file.write_all(block.as_bytes())
+                .unwrap_or_else(|e| panic!("golf-tester: write trace file {path}: {e}"));
+        }
+        file.flush().unwrap_or_else(|e| panic!("golf-tester: write trace file {path}: {e}"));
+    }
 
     let mut out = table.render();
     out.push('\n');

@@ -17,7 +17,7 @@
 //!
 //! `--seed <n>` reseeds the Table 1 sweep only (its runs draw from
 //! `seed_for(n, "table1")`); every other experiment runs at its own fixed
-//! default seed. `--trace <path>` streams a structured JSONL execution
+//! default seed. `--trace <path>` writes a structured JSONL execution
 //! trace of the Table 1 sweep. `--full-gc` disables incremental cycle
 //! replay in the Table 1 sweep; its counts stay byte-identical, only the
 //! collector's wall-clock time changes.
@@ -29,6 +29,8 @@ use golf_service::production::{run_production, ProductionConfig};
 use golf_service::rq1c::{run_rq1c, Rq1cConfig};
 use golf_service::table2::{run_table2, Table2Config};
 use golf_service::testcorpus::{run_corpus, CorpusConfig};
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::path::Path;
 
 fn save(dir: &Path, name: &str, content: &str) {
@@ -43,11 +45,11 @@ fn main() {
     let base_seed: u64 = arg_value(&args, "--seed")
         .and_then(|v| v.parse().ok())
         .unwrap_or(Table1Config::default().base_seed);
-    let trace = arg_value(&args, "--trace").map(|path| {
-        let sink = golf_trace::SharedJsonlSink::create(&path)
+    let trace_file = arg_value(&args, "--trace").map(|path| {
+        let file = File::create(&path)
             .unwrap_or_else(|e| panic!("run_all: cannot create trace file {path}: {e}"));
-        eprintln!("run_all: streaming Table 1 trace to {path}");
-        sink
+        eprintln!("run_all: writing Table 1 trace to {path}");
+        (path, BufWriter::new(file))
     });
     let golf = golf_core::GolfConfig {
         incremental: !args.iter().any(|a| a == "--full-gc"),
@@ -63,8 +65,17 @@ fn main() {
     let t0 = std::time::Instant::now();
 
     eprintln!("run_all: Table 1 (RQ1a)…");
-    let table1_config = Table1Config { trace, golf, base_seed, ..Table1Config::default() };
+    let table1_config =
+        Table1Config { trace: trace_file.is_some(), golf, base_seed, ..Table1Config::default() };
     let table1 = run_table1(&table1_config);
+    if let Some((path, mut file)) = trace_file {
+        // Block by block: joining the blocks first would double peak memory.
+        for block in &table1.trace {
+            file.write_all(block.as_bytes())
+                .unwrap_or_else(|e| panic!("run_all: write trace file {path}: {e}"));
+        }
+        file.flush().unwrap_or_else(|e| panic!("run_all: write trace file {path}: {e}"));
+    }
     save(dir, "table1.txt", &artifacts::table1(&table1_config, &table1));
 
     eprintln!("run_all: Figure 3 (RQ1b)…");
@@ -80,7 +91,7 @@ fn main() {
     eprintln!("run_all: Table 2 (controlled service)…");
     let table2 = run_table2(&Table2Config::default());
     save(dir, "table2.txt", &artifacts::table2(&table2));
-    save(dir, "table2_metrics.txt", &table2.metrics().to_string());
+    save(dir, "table2_metrics.txt", &table2.metrics());
 
     eprintln!("run_all: Table 3 (production-like)…");
     let prod_config = ProductionConfig::default();

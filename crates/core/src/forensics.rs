@@ -21,9 +21,8 @@ fn go_id(gid: Gid) -> GoId {
 /// Renders the last `k` flight-recorder events concerning `gid`, oldest
 /// first.
 ///
-/// Returns an empty vector when the flight recorder is off (it turns on
-/// with the first installed trace sink, or explicitly via
-/// `Tracer::set_recorder_enabled`).
+/// Returns an empty vector unless a trace sink was installed: the flight
+/// recorder records exactly while one is.
 pub fn flight_tail(vm: &Vm, gid: Gid, k: usize) -> Vec<String> {
     vm.tracer().recorder().tail_for(go_id(gid), k).iter().map(|r| r.to_string()).collect()
 }

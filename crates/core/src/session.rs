@@ -6,7 +6,7 @@ use crate::cycle::GcEngine;
 use crate::report::DeadlockReport;
 use crate::stats::{GcCycleStats, GcTotals};
 use golf_runtime::{RunOutcome, RunStatus, TickStatus, Vm};
-use golf_trace::{TraceEvent, TraceSink};
+use golf_trace::BufferSink;
 
 /// A VM driven with automatic garbage collection.
 ///
@@ -53,8 +53,6 @@ pub struct Session {
     /// many (modeled) nanoseconds per tick.
     pause_ns_per_tick: Option<u64>,
     pause_ns_accum: u64,
-    /// When true, print a `gctrace`-style line to stderr per cycle.
-    gctrace: bool,
 }
 
 impl Session {
@@ -66,7 +64,6 @@ impl Session {
             pacer: Pacer::new(pacer),
             pause_ns_per_tick: None,
             pause_ns_accum: 0,
-            gctrace: false,
         }
     }
 
@@ -145,31 +142,17 @@ impl Session {
         self.pause_ns_per_tick = Some(ns_per_tick.max(1));
     }
 
-    /// Enables `GODEBUG=gctrace=1`-style per-cycle lines on stderr.
-    pub fn set_gctrace(&mut self, on: bool) {
-        self.gctrace = on;
-    }
-
     /// Installs (or removes) a structured trace sink on the underlying VM.
     ///
     /// While a sink is installed, scheduler and GC events stream to it and
-    /// the flight recorder retains recent history for deadlock forensics;
-    /// `gctrace` lines are additionally routed into the trace as
-    /// [`TraceEvent::GcTrace`] records.
-    pub fn set_trace_sink(&mut self, sink: Option<Box<dyn TraceSink>>) {
+    /// the flight recorder retains recent history for deadlock forensics.
+    pub fn set_trace_sink(&mut self, sink: Option<BufferSink>) {
         self.vm.set_trace_sink(sink);
     }
 
     /// Forces a collection now, returning its statistics.
     pub fn collect(&mut self) -> GcCycleStats {
         let stats = self.engine.collect(&mut self.vm);
-        if self.gctrace {
-            let line = stats.to_string();
-            if self.vm.trace_enabled() {
-                self.vm.trace_emit(TraceEvent::GcTrace { line: line.clone() });
-            }
-            eprintln!("{line}");
-        }
         self.pacer.on_cycle_end(stats.live_bytes_after);
         if let Some(ns_per_tick) = self.pause_ns_per_tick {
             self.pause_ns_accum += stats.modeled_stw_ns;
@@ -197,7 +180,6 @@ impl Session {
                 TickStatus::Panicked => break RunStatus::Panicked,
             }
         };
-        self.vm.tracer_mut().flush();
         self.outcome(status)
     }
 

@@ -7,7 +7,7 @@
 
 use golf_core::{forensics, Session};
 use golf_runtime::{FuncBuilder, ProgramSet, Vm, VmConfig};
-use golf_trace::VecSink;
+use golf_trace::BufferSink;
 
 /// The paper's Listing 7 shape: `task` sends on a channel `main` drops.
 fn leaky_program() -> ProgramSet {
@@ -30,16 +30,15 @@ fn leaky_program() -> ProgramSet {
     p
 }
 
-/// Runs the leaky program under GOLF with a collecting sink; returns the
+/// Runs the leaky program under GOLF with a trace sink; returns the
 /// JSONL trace plus the session for report inspection.
 fn traced_run(seed: u64) -> (String, Session) {
     let vm = Vm::boot(leaky_program(), VmConfig { seed, ..VmConfig::default() });
     let mut session = Session::golf(vm);
-    let sink = VecSink::new();
-    session.set_trace_sink(Some(Box::new(sink.clone())));
+    let sink = BufferSink::new();
+    session.set_trace_sink(Some(sink.clone()));
     session.run(10_000);
-    let jsonl: String = sink.records().iter().map(|r| r.to_jsonl() + "\n").collect();
-    (jsonl, session)
+    (sink.contents(), session)
 }
 
 #[test]

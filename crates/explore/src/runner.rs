@@ -61,9 +61,7 @@ fn execute(
     vm.set_sched_policy(Some(policy));
     let mut session = Session::golf(vm);
     let buffer = capture_trace.then(BufferSink::new);
-    if let Some(b) = &buffer {
-        session.set_trace_sink(Some(Box::new(b.clone())));
-    }
+    session.set_trace_sink(buffer.clone());
     let outcome = session.run(target.tick_budget);
     session.collect();
     (

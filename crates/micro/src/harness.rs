@@ -3,7 +3,7 @@
 use crate::corpus::Microbenchmark;
 use golf_core::{GolfConfig, Session};
 use golf_runtime::{PanicPolicy, RunStatus, Vm, VmConfig};
-use golf_trace::TraceSink;
+use golf_trace::BufferSink;
 use std::collections::BTreeSet;
 
 /// Parameters for one microbenchmark run.
@@ -75,14 +75,13 @@ pub fn run_benchmark(mb: &Microbenchmark, settings: &RunSettings) -> BenchRunRes
     run_benchmark_with_sink(mb, settings, None)
 }
 
-/// Like [`run_benchmark`], but streaming the run's trace events into
-/// `sink`. Parallel sweeps pass a per-thread
-/// [`BufferSink`](golf_trace::BufferSink) here and merge the buffers
-/// deterministically afterwards.
+/// Like [`run_benchmark`], but rendering the run's trace events into
+/// `sink`. Parallel sweeps pass one buffer per benchmark here and collect
+/// the buffers in a fixed order afterwards.
 pub fn run_benchmark_with_sink(
     mb: &Microbenchmark,
     settings: &RunSettings,
-    sink: Option<Box<dyn TraceSink>>,
+    sink: Option<BufferSink>,
 ) -> BenchRunResult {
     let n = instances_for(mb.flakiness, settings.max_instances);
     let program = (mb.build)(n);
@@ -97,9 +96,7 @@ pub fn run_benchmark_with_sink(
     let vm = Vm::boot(program, config);
     let mut session = Session::golf(vm);
     session.engine_mut().set_golf_config(settings.golf);
-    if let Some(sink) = sink {
-        session.set_trace_sink(Some(sink));
-    }
+    session.set_trace_sink(sink);
     let outcome = session.run(settings.tick_budget);
     // Let in-flight instances quiesce, then take the final GC, as in the
     // artifact's template (`time.Sleep(...); runtime.GC()`).

@@ -5,7 +5,7 @@ use crate::corpus::{corpus, Microbenchmark};
 use crate::harness::{run_benchmark_with_sink, RunSettings};
 use golf_core::GolfConfig;
 use golf_metrics::{Align, Table};
-use golf_trace::{BufferSink, SharedJsonlSink, TraceSink};
+use golf_trace::BufferSink;
 use std::sync::Mutex;
 
 /// Experiment configuration.
@@ -26,11 +26,11 @@ pub struct Table1Config {
     pub max_instances: usize,
     /// Worker threads (0 = all available cores).
     pub threads: usize,
-    /// When set, every run records trace events (into a per-worker buffer)
-    /// and the sweep merges them into this shared sink in deterministic
-    /// (benchmark, core-count, run) order once all workers finish — the
-    /// output is byte-identical for any `threads` value.
-    pub trace: Option<SharedJsonlSink>,
+    /// When set, every run records trace events into its benchmark's
+    /// buffer and [`Table1::trace`] returns the buffers in benchmark order,
+    /// each in (core-count, run) order — byte-identical for any `threads`
+    /// value.
+    pub trace: bool,
     /// GOLF collector options applied to every run (`--full-gc` clears
     /// `incremental`).
     pub golf: GolfConfig,
@@ -45,7 +45,7 @@ impl Default for Table1Config {
             base_seed: 0x601F,
             max_instances: 24,
             threads: 0,
-            trace: None,
+            trace: false,
             golf: GolfConfig::default(),
         }
     }
@@ -91,6 +91,9 @@ pub struct Table1 {
     pub runtime_failures: u64,
     /// Reports at sites not annotated as expected ("Unexpected DL").
     pub unexpected_reports: u64,
+    /// With [`Table1Config::trace`] on, one JSONL trace block per
+    /// benchmark, in the order of the swept benchmarks; empty otherwise.
+    pub trace: Vec<String>,
 }
 
 impl Table1 {
@@ -158,12 +161,12 @@ pub fn run_table1_on(benchmarks: &[Microbenchmark], config: &Table1Config) -> Ta
 
     // Work items: one per benchmark; each runs the full (procs × runs) grid.
     // When tracing, each work item records into its own in-memory buffer —
-    // the buffers are merged into the shared sink in benchmark order after
-    // the sweep, so the trace file is a pure function of the seed no matter
-    // how many worker threads ran.
+    // the buffers are returned in benchmark order after the sweep, so the
+    // trace is a pure function of the seed no matter how many worker
+    // threads ran.
     // (benchmark index, per-site rows, runtime failures, unexpected
     // reports, rendered trace block)
-    type BenchResult = (usize, Vec<SiteRow>, u64, u64, String);
+    type BenchResult = (usize, Vec<SiteRow>, u64, u64, Option<String>);
     let stream = golf_runtime::seed_for(config.base_seed, "table1");
     let next = Mutex::new(0usize);
     let results: Mutex<Vec<BenchResult>> = Mutex::new(Vec::new());
@@ -181,7 +184,7 @@ pub fn run_table1_on(benchmarks: &[Microbenchmark], config: &Table1Config) -> Ta
                     break;
                 }
                 let mb = &benchmarks[idx];
-                let buffer = config.trace.as_ref().map(|_| BufferSink::new());
+                let buffer = config.trace.then(BufferSink::new);
                 let mut per_site: Vec<SiteRow> = mb
                     .sites
                     .iter()
@@ -200,8 +203,6 @@ pub fn run_table1_on(benchmarks: &[Microbenchmark], config: &Table1Config) -> Ta
                             .wrapping_add((idx as u64) << 32)
                             .wrapping_add((pi as u64) << 24)
                             .wrapping_add(u64::from(run));
-                        let sink =
-                            buffer.as_ref().map(|b| Box::new(b.clone()) as Box<dyn TraceSink>);
                         let res = run_benchmark_with_sink(
                             mb,
                             &RunSettings {
@@ -211,7 +212,7 @@ pub fn run_table1_on(benchmarks: &[Microbenchmark], config: &Table1Config) -> Ta
                                 max_instances: config.max_instances,
                                 golf: config.golf,
                             },
-                            sink,
+                            buffer.clone(),
                         );
                         for row in per_site.iter_mut() {
                             if res.detected_sites.contains(&row.site) {
@@ -222,7 +223,7 @@ pub fn run_table1_on(benchmarks: &[Microbenchmark], config: &Table1Config) -> Ta
                         unexpected += res.unexpected_sites.len() as u64;
                     }
                 }
-                let block = buffer.map(|b| b.contents()).unwrap_or_default();
+                let block = buffer.map(|b| b.contents());
                 results
                     .lock()
                     .expect("poisoned")
@@ -236,16 +237,12 @@ pub fn run_table1_on(benchmarks: &[Microbenchmark], config: &Table1Config) -> Ta
     let mut rows = Vec::new();
     let mut runtime_failures = 0;
     let mut unexpected_reports = 0;
+    let mut trace = Vec::new();
     for (_, site_rows, failures, unexpected, block) in collected {
         rows.extend(site_rows);
         runtime_failures += failures;
         unexpected_reports += unexpected;
-        if let Some(sink) = &config.trace {
-            sink.append_raw(&block);
-        }
-    }
-    if let Some(sink) = &config.trace {
-        sink.clone().flush();
+        trace.extend(block);
     }
     Table1 {
         rows,
@@ -253,6 +250,7 @@ pub fn run_table1_on(benchmarks: &[Microbenchmark], config: &Table1Config) -> Ta
         runs: config.runs,
         runtime_failures,
         unexpected_reports,
+        trace,
     }
 }
 

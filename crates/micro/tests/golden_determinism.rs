@@ -12,7 +12,7 @@
 use golf_core::{ExpansionStrategy, GcCycleStats, GolfConfig, Session};
 use golf_micro::{corpus, instances_for, Microbenchmark, Source};
 use golf_runtime::{PanicPolicy, TickStatus, Vm, VmConfig};
-use golf_trace::{BufferSink, TraceSink};
+use golf_trace::BufferSink;
 
 /// 64-bit FNV-1a, stable across platforms and toolchains.
 struct Fnv(u64);
@@ -67,7 +67,7 @@ fn hash_run(h: &mut Fnv, mb: &Microbenchmark, procs: usize, golf: GolfConfig) {
     let mut session = Session::golf(Vm::boot((mb.build)(n), config));
     session.engine_mut().set_golf_config(golf);
     let buffer = BufferSink::new();
-    session.set_trace_sink(Some(Box::new(buffer.clone()) as Box<dyn TraceSink>));
+    session.set_trace_sink(Some(buffer.clone()));
     // Collect every few ticks while the program runs, so that collections
     // see blocked goroutines that are still reachably live and root
     // expansion has work to do.

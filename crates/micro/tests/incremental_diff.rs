@@ -13,7 +13,7 @@
 use golf_core::{DeadlockReport, GolfConfig, PhaseEvent, Session};
 use golf_micro::{corpus, instances_for, Source};
 use golf_runtime::{PanicPolicy, Vm, VmConfig};
-use golf_trace::{BufferSink, TraceSink};
+use golf_trace::BufferSink;
 
 /// The mode-invariant slice of one cycle's statistics.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,7 +82,7 @@ fn run_one(mb: &golf_micro::Microbenchmark, seed: u64, incremental: bool) -> (Ou
     let golf = session.engine().golf_config();
     session.engine_mut().set_golf_config(GolfConfig { incremental, ..golf });
     let buffer = BufferSink::new();
-    session.set_trace_sink(Some(Box::new(buffer.clone()) as Box<dyn TraceSink>));
+    session.set_trace_sink(Some(buffer.clone()));
     let outcome = session.run(3_000);
     session.collect();
     // A few extra quiescent collections so the steady-state replay path is
@@ -174,7 +174,7 @@ fn random_interleavings_match() {
             let golf = session.engine().golf_config();
             session.engine_mut().set_golf_config(GolfConfig { incremental, ..golf });
             let buffer = BufferSink::new();
-            session.set_trace_sink(Some(Box::new(buffer.clone()) as Box<dyn TraceSink>));
+            session.set_trace_sink(Some(buffer.clone()));
             for &(ticks, collects) in &schedule {
                 session.run(ticks);
                 for _ in 0..collects {

@@ -217,7 +217,6 @@ impl Vm {
                 TickStatus::Panicked => break RunStatus::Panicked,
             }
         };
-        self.tracer.flush();
         self.outcome(status)
     }
 

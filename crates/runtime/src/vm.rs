@@ -7,7 +7,7 @@ use crate::object::Object;
 use crate::sema::SemaTreap;
 use crate::value::{Value, Var};
 use golf_heap::{Handle, Heap};
-use golf_trace::{GoId, TraceEvent, TraceSink, Tracer};
+use golf_trace::{BufferSink, GoId, TraceEvent, Tracer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -344,14 +344,14 @@ impl Vm {
 
     // ---- tracing ----
 
-    /// Installs (or removes) the execution-trace sink. Installing a sink
-    /// also turns on the flight recorder, so deadlock reports produced
+    /// Installs (or removes) the execution-trace sink. The flight recorder
+    /// records while a sink is installed, so deadlock reports produced
     /// while tracing carry event forensics.
-    pub fn set_trace_sink(&mut self, sink: Option<Box<dyn TraceSink>>) {
+    pub fn set_trace_sink(&mut self, sink: Option<BufferSink>) {
         self.tracer.set_sink(sink);
     }
 
-    /// Whether any trace consumer (sink or flight recorder) is attached.
+    /// Whether a trace sink is installed.
     #[inline(always)]
     pub fn trace_enabled(&self) -> bool {
         self.tracer.enabled()
@@ -360,12 +360,6 @@ impl Vm {
     /// Read access to this VM's tracer (flight recorder queries).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
-    }
-
-    /// Mutable access to this VM's tracer — the collector emits GC phase
-    /// and detection events through this.
-    pub fn tracer_mut(&mut self) -> &mut Tracer {
-        &mut self.tracer
     }
 
     /// Stamps `event` with the current tick and routes it to the attached

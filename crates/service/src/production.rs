@@ -2,10 +2,10 @@
 //! diurnal traffic, measurement noise, a low-rate real leak — emitting
 //! latency and CPU metrics in fixed windows, baseline vs GOLF.
 
-use crate::service::{read_latencies, ServiceConfig, ServiceGlobals};
+use crate::service::{define_request, read_latencies, ServiceConfig, ServiceGlobals};
 use golf_core::{GcMode, GolfConfig, PacerConfig, Session};
 use golf_metrics::{mean_std, percentile, Align, MeanStd, Table};
-use golf_runtime::{BinOp, FuncBuilder, ProgramSet, SelectSpec, Value, Vm, VmConfig};
+use golf_runtime::{BinOp, FuncBuilder, ProgramSet, Value, Vm, VmConfig};
 
 /// Production-experiment parameters.
 #[derive(Debug, Clone)]
@@ -49,54 +49,7 @@ fn build_production(config: &ProductionConfig) -> (ProgramSet, ServiceGlobals) {
     let conn_site = p.site("main:conn");
     let mod_site = p.site("main:modulator");
 
-    // child — identical to the controlled service.
-    let mut b = FuncBuilder::new("child", 3);
-    let ch1 = b.param(0);
-    let ch2 = b.param(1);
-    let leak = b.param(2);
-    let map = b.var("child_map");
-    b.new_blob(map, c.map_bytes);
-    let v = b.int(1);
-    b.send(ch1, v);
-    b.if_then(leak, |b| b.send(ch2, v));
-    b.ret(None);
-    let child = p.define(b);
-
-    let mut b = FuncBuilder::new("handle_request", 2);
-    let lat = b.param(0);
-    let counter = b.param(1);
-    let t0 = b.var("t0");
-    b.now_tick(t0);
-    b.sleep(c.rpc_ticks.max(1));
-    let pmap = b.var("parent_map");
-    b.new_blob(pmap, c.map_bytes);
-    let ch1 = b.var("ch1");
-    let ch2 = b.var("ch2");
-    b.make_chan(ch1, 0);
-    b.make_chan(ch2, 0);
-    let leak = b.var("leak");
-    b.rand_chance(leak, c.leak_per_mille, 1000);
-    b.go(child, &[ch1, ch2, leak], child_site);
-    let l1 = b.label();
-    let l2 = b.label();
-    let done = b.label();
-    b.select(SelectSpec::new().recv(ch1, None, l1).recv(ch2, None, l2));
-    b.bind(l1);
-    b.jump(done);
-    b.bind(l2);
-    b.bind(done);
-    let t1 = b.var("t1");
-    let dt = b.var("dt");
-    b.now_tick(t1);
-    b.bin(BinOp::Sub, dt, t1, t0);
-    b.slice_push(lat, dt);
-    let cc = b.var("c");
-    let one = b.int(1);
-    b.cell_get(cc, counter);
-    b.bin(BinOp::Add, cc, cc, one);
-    b.cell_set(counter, cc);
-    b.ret(None);
-    let handle = p.define(b);
+    let handle = define_request(&mut p, c, child_site);
 
     // conn: think time read from the modulated cell each iteration.
     let mut b = FuncBuilder::new("conn", 3); // lat, counter, think_cell

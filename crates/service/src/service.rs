@@ -9,7 +9,9 @@
 //! RPC, allocates blobs standing in for the maps, spawns the child, and
 //! `select`s on the two channels. The leak rate is controlled per-request.
 
-use golf_runtime::{BinOp, FuncBuilder, GlobalId, ProgramSet, SelectSpec, Value, Vm, VmConfig};
+use golf_runtime::{
+    BinOp, FuncBuilder, FuncId, GlobalId, ProgramSet, SelectSpec, SiteId, Value, Vm, VmConfig,
+};
 
 /// Workload parameters. One scheduler tick models one millisecond.
 #[derive(Debug, Clone)]
@@ -58,18 +60,14 @@ pub struct ServiceGlobals {
     pub completed: GlobalId,
 }
 
-/// Builds the instrumented service program.
-///
-/// The program starts `connections` connection-driver goroutines and
-/// returns; the embedding session runs it for as long as the experiment
-/// lasts (drivers loop forever).
-pub fn build_service(config: &ServiceConfig) -> (ProgramSet, ServiceGlobals) {
-    let mut p = ProgramSet::new();
-    let latencies = p.global("latencies");
-    let completed = p.global("completed");
-    let child_site = p.site("handleRequest:child");
-    let conn_site = p.site("main:conn");
-
+/// Defines the request path shared by the Table 2 and Table 3 services —
+/// `child` and `handle_request(lat_slice, counter)` — and returns
+/// `handle_request`. `child_site` labels the `go child(..)` statement.
+pub(crate) fn define_request(
+    p: &mut ProgramSet,
+    config: &ServiceConfig,
+    child_site: SiteId,
+) -> FuncId {
     // child(ch1, ch2, leak): allocate the child-side map, send on ch1, and
     // — on leaking requests — also send on ch2 (the double send).
     let mut b = FuncBuilder::new("child", 3);
@@ -125,7 +123,21 @@ pub fn build_service(config: &ServiceConfig) -> (ProgramSet, ServiceGlobals) {
     b.bin(BinOp::Add, c, c, one);
     b.cell_set(counter, c);
     b.ret(None);
-    let handle = p.define(b);
+    p.define(b)
+}
+
+/// Builds the instrumented service program.
+///
+/// The program starts `connections` connection-driver goroutines and
+/// returns; the embedding session runs it for as long as the experiment
+/// lasts (drivers loop forever).
+pub fn build_service(config: &ServiceConfig) -> (ProgramSet, ServiceGlobals) {
+    let mut p = ProgramSet::new();
+    let latencies = p.global("latencies");
+    let completed = p.global("completed");
+    let child_site = p.site("handleRequest:child");
+    let conn_site = p.site("main:conn");
+    let handle = define_request(&mut p, config, child_site);
 
     // conn(lat, counter): loop { think; handle_request() }.
     let mut b = FuncBuilder::new("conn", 2);

@@ -4,7 +4,6 @@
 use crate::service::{boot_service, read_latencies, ServiceConfig};
 use golf_core::{GcMode, GolfConfig, PacerConfig, Session};
 use golf_metrics::{percentile, Align, Table};
-use golf_trace::MetricsRegistry;
 use serde::{Deserialize, Serialize};
 
 /// Experiment parameters (beyond the service workload itself).
@@ -83,23 +82,6 @@ pub struct ServerMetrics {
     pub deadlocks_reclaimed: u64,
 }
 
-impl ServerMetrics {
-    /// Publishes this MemStats snapshot into a [`MetricsRegistry`] under
-    /// `prefix` (e.g. `"golf.leak100."`): point-in-time sizes as gauges,
-    /// cumulative GC/deadlock figures as counters. Names mirror Go's
-    /// `runtime.MemStats` fields.
-    pub fn publish(&self, prefix: &str, registry: &mut MetricsRegistry) {
-        registry.set_gauge(&format!("{prefix}stack_inuse_bytes"), self.stack_inuse_bytes as i64);
-        registry.set_gauge(&format!("{prefix}heap_alloc_bytes"), self.heap_alloc_bytes as i64);
-        registry.set_gauge(&format!("{prefix}heap_objects"), self.heap_objects as i64);
-        registry.set_gauge(&format!("{prefix}blocked_goroutines"), self.blocked_goroutines as i64);
-        registry.add(&format!("{prefix}pause_total_ns"), self.pause_total_ns);
-        registry.add(&format!("{prefix}num_gc"), self.num_gc);
-        registry.add(&format!("{prefix}deadlocks_detected"), self.deadlocks_detected);
-        registry.add(&format!("{prefix}deadlocks_reclaimed"), self.deadlocks_reclaimed);
-    }
-}
-
 /// One scenario's results.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ScenarioResult {
@@ -140,9 +122,7 @@ pub fn run_scenario(config: &Table2Config, leak_per_mille: i64, golf: bool) -> S
     run_chunked(&mut session, config.warmup_ticks);
     let warm_count = read_latencies(session.vm(), globals).len();
     let pause_before = session.gc_totals().modeled_stw_total_ns;
-    let wall = std::time::Instant::now();
     run_chunked(&mut session, config.run_ticks);
-    let wall_ns = wall.elapsed().as_nanos() as u64;
 
     let all = read_latencies(session.vm(), globals);
     let lat = &all[warm_count.min(all.len())..];
@@ -170,11 +150,8 @@ pub fn run_scenario(config: &Table2Config, leak_per_mille: i64, golf: bool) -> S
         pause_per_cycle_ns: totals.modeled_stw_per_cycle_ns(),
         // STW time over simulated wall time (1 tick = 1 ms): the paper's
         // GCCPUFraction analogue.
-        gc_cpu_fraction: {
-            let _ = wall_ns;
-            (totals.modeled_stw_total_ns - pause_before) as f64
-                / (config.run_ticks as f64 * 1_000_000.0)
-        },
+        gc_cpu_fraction: (totals.modeled_stw_total_ns - pause_before) as f64
+            / (config.run_ticks as f64 * 1_000_000.0),
         deadlocks_detected: totals.deadlocks_detected,
         deadlocks_reclaimed: totals.deadlocks_reclaimed,
     };
@@ -201,16 +178,30 @@ pub fn run_table2(config: &Table2Config) -> Table2 {
 }
 
 impl Table2 {
-    /// All scenarios' server-side MemStats snapshots in one registry, keyed
-    /// `{base|golf}.leak{rate}.{field}` — the service's expvar-style export.
-    pub fn metrics(&self) -> MetricsRegistry {
-        let mut registry = MetricsRegistry::new();
+    /// All scenarios' server-side MemStats snapshots as `name value`
+    /// lines, named `{base|golf}.leak{rate}.{field}` after Go's
+    /// `runtime.MemStats` fields — the service's expvar-style export.
+    /// Cumulative GC/deadlock counters come first, then point-in-time
+    /// sizes, each block sorted by name.
+    pub fn metrics(&self) -> String {
+        let mut counters = Vec::new();
+        let mut gauges = Vec::new();
         for s in &self.scenarios {
             let collector = if s.golf { "golf" } else { "base" };
-            let prefix = format!("{collector}.leak{}.", s.leak_per_mille);
-            s.server.publish(&prefix, &mut registry);
+            let name = |field: &str| format!("{collector}.leak{}.{field}", s.leak_per_mille);
+            let m = &s.server;
+            counters.push((name("pause_total_ns"), m.pause_total_ns));
+            counters.push((name("num_gc"), m.num_gc));
+            counters.push((name("deadlocks_detected"), m.deadlocks_detected));
+            counters.push((name("deadlocks_reclaimed"), m.deadlocks_reclaimed));
+            gauges.push((name("stack_inuse_bytes"), m.stack_inuse_bytes));
+            gauges.push((name("heap_alloc_bytes"), m.heap_alloc_bytes));
+            gauges.push((name("heap_objects"), m.heap_objects));
+            gauges.push((name("blocked_goroutines"), m.blocked_goroutines as u64));
         }
-        registry
+        counters.sort();
+        gauges.sort();
+        counters.iter().chain(&gauges).map(|(name, value)| format!("{name} {value}\n")).collect()
     }
 
     /// Renders the paper-style comparison. For each leak rate, Base (B) and
@@ -347,11 +338,16 @@ mod tests {
         let rendered = t.render();
         assert!(rendered.contains("Leaks in 10% of requests"));
         assert!(rendered.contains("HeapAlloc"));
-        // The MemStats registry export carries every scenario.
-        let registry = t.metrics();
-        assert!(registry.gauge("golf.leak100.heap_alloc_bytes").is_some());
-        assert!(registry.counter("golf.leak100.deadlocks_reclaimed") > 0);
-        assert_eq!(registry.counter("golf.leak0.deadlocks_detected"), 0);
-        assert!(registry.gauge("base.leak0.heap_objects").is_some());
+        // The MemStats export carries every scenario.
+        let metrics = t.metrics();
+        let value = |name: &str| {
+            metrics
+                .lines()
+                .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse::<u64>().ok())
+        };
+        assert!(value("golf.leak100.heap_alloc_bytes").is_some());
+        assert!(value("golf.leak100.deadlocks_reclaimed").unwrap() > 0);
+        assert_eq!(value("golf.leak0.deadlocks_detected"), Some(0));
+        assert!(value("base.leak0.heap_objects").is_some());
     }
 }

@@ -159,12 +159,6 @@ pub enum TraceEvent {
         /// The reclaimed goroutine.
         gid: GoId,
     },
-    /// One line of `gctrace` output, routed through the structured trace
-    /// instead of stderr.
-    GcTrace {
-        /// The rendered gctrace line.
-        line: String,
-    },
 }
 
 impl TraceEvent {
@@ -184,9 +178,7 @@ impl TraceEvent {
             | TraceEvent::SemaDequeue { gid, .. }
             | TraceEvent::DeadlockDetected { gid, .. }
             | TraceEvent::Reclaimed { gid } => Some(*gid),
-            TraceEvent::GcPhaseBegin { .. }
-            | TraceEvent::GcPhaseEnd { .. }
-            | TraceEvent::GcTrace { .. } => None,
+            TraceEvent::GcPhaseBegin { .. } | TraceEvent::GcPhaseEnd { .. } => None,
         }
     }
 
@@ -208,7 +200,6 @@ impl TraceEvent {
             TraceEvent::GcPhaseEnd { .. } => "gc_phase_end",
             TraceEvent::DeadlockDetected { .. } => "deadlock_detected",
             TraceEvent::Reclaimed { .. } => "reclaimed",
-            TraceEvent::GcTrace { .. } => "gctrace",
         }
     }
 }
@@ -286,7 +277,6 @@ impl fmt::Display for TraceEvent {
                 write!(f, "DeadlockDetected {gid} [{reason}] at {location}")
             }
             TraceEvent::Reclaimed { gid } => write!(f, "Reclaimed {gid}"),
-            TraceEvent::GcTrace { line } => write!(f, "GcTrace {line}"),
         }
     }
 }

@@ -106,10 +106,6 @@ impl TraceRecord {
                 out.push_str(",\"location\":");
                 push_json_str(&mut out, location);
             }
-            TraceEvent::GcTrace { line } => {
-                out.push_str(",\"line\":");
-                push_json_str(&mut out, line);
-            }
         }
         out.push('}');
         out
@@ -125,11 +121,15 @@ mod tests {
         let record = TraceRecord {
             tick: 1,
             seq: 2,
-            event: TraceEvent::GcTrace { line: "a\"b\\c\nd\u{1}".into() },
+            event: TraceEvent::DeadlockDetected {
+                gid: GoId::new(0, 0),
+                reason: "chan send",
+                location: "a\"b\\c\nd\u{1}".into(),
+            },
         };
         assert_eq!(
             record.to_jsonl(),
-            r#"{"tick":1,"seq":2,"type":"gctrace","line":"a\"b\\c\nd\u0001"}"#
+            r#"{"tick":1,"seq":2,"type":"deadlock_detected","gid":"g0.0","reason":"chan send","location":"a\"b\\c\nd\u0001"}"#
         );
     }
 

@@ -1,10 +1,9 @@
 //! # golf-trace
 //!
 //! Structured execution tracing for the golf runtime, modeled on Go's
-//! `runtime/trace`: a typed event vocabulary ([`TraceEvent`]), pluggable
-//! sinks ([`TraceSink`] — [`SharedJsonlSink`], [`BufferSink`], [`VecSink`]),
-//! an always-bounded [`FlightRecorder`] ring for post-hoc forensics, and a
-//! small counter/gauge [`MetricsRegistry`].
+//! `runtime/trace`: a typed event vocabulary ([`TraceEvent`]), a JSONL
+//! [`BufferSink`], and an always-bounded [`FlightRecorder`] ring for
+//! post-hoc forensics.
 //!
 //! The runtime owns one [`Tracer`] per `Vm`. Tracing is off by default and
 //! the instrumentation guards every event construction behind
@@ -14,18 +13,20 @@
 //! produce byte-identical traces.
 //!
 //! ```
-//! use golf_trace::{GoId, Tracer, TraceEvent, VecSink};
+//! use golf_trace::{BufferSink, GoId, Tracer, TraceEvent};
 //!
 //! let mut tracer = Tracer::new();
 //! assert!(!tracer.enabled()); // free when off
 //!
-//! let sink = VecSink::new();
-//! tracer.set_sink(Some(Box::new(sink.clone())));
+//! let sink = BufferSink::new();
+//! tracer.set_sink(Some(sink.clone()));
 //! if tracer.enabled() {
 //!     tracer.emit(7, TraceEvent::GoUnblock { gid: GoId::new(1, 0) });
 //! }
-//! assert_eq!(sink.records().len(), 1);
-//! assert_eq!(sink.records()[0].tick, 7);
+//! assert_eq!(
+//!     sink.contents(),
+//!     concat!(r#"{"tick":7,"seq":0,"type":"go_unblock","gid":"g1.0"}"#, "\n")
+//! );
 //! ```
 
 #![forbid(unsafe_code)]
@@ -33,24 +34,21 @@
 
 mod event;
 mod json;
-mod metrics;
 mod recorder;
 mod sink;
 
 pub use event::{GoId, TraceEvent, TraceRecord};
-pub use metrics::MetricsRegistry;
 pub use recorder::{FlightRecorder, DEFAULT_FLIGHT_RECORDER_CAPACITY};
-pub use sink::{BufferSink, SharedJsonlSink, TraceSink, VecSink};
+pub use sink::BufferSink;
 
 /// Per-VM tracing front end: an optional sink plus the flight recorder.
 ///
 /// Emission stamps each event with the caller-provided scheduler tick and a
-/// monotonically increasing sequence number, forwards the record to the sink
-/// (if any) and to the flight recorder (if enabled).
+/// monotonically increasing sequence number. While a sink is installed, the
+/// record goes to the sink and to the flight recorder.
 pub struct Tracer {
-    sink: Option<Box<dyn TraceSink>>,
+    sink: Option<BufferSink>,
     recorder: FlightRecorder,
-    recorder_enabled: bool,
     seq: u64,
 }
 
@@ -61,12 +59,12 @@ impl Default for Tracer {
 }
 
 impl Tracer {
-    /// Creates a disabled tracer (no sink, flight recorder off).
+    /// Creates a disabled tracer (no sink).
     pub fn new() -> Self {
-        Tracer { sink: None, recorder: FlightRecorder::default(), recorder_enabled: false, seq: 0 }
+        Tracer { sink: None, recorder: FlightRecorder::default(), seq: 0 }
     }
 
-    /// Whether any consumer is attached.
+    /// Whether a sink is installed.
     ///
     /// Instrumentation sites must check this before building an event so the
     /// disabled path allocates nothing:
@@ -78,22 +76,14 @@ impl Tracer {
     /// ```
     #[inline(always)]
     pub fn enabled(&self) -> bool {
-        self.recorder_enabled || self.sink.is_some()
+        self.sink.is_some()
     }
 
-    /// Installs (or removes) the sink. Installing a sink also turns the
-    /// flight recorder on, so detections made while tracing always have
-    /// forensics available.
-    pub fn set_sink(&mut self, sink: Option<Box<dyn TraceSink>>) {
-        if sink.is_some() {
-            self.recorder_enabled = true;
-        }
+    /// Installs (or removes) the sink. The flight recorder records exactly
+    /// while a sink is installed, so detections made while tracing always
+    /// have forensics available.
+    pub fn set_sink(&mut self, sink: Option<BufferSink>) {
         self.sink = sink;
-    }
-
-    /// Turns the flight recorder on or off independently of the sink.
-    pub fn set_recorder_enabled(&mut self, on: bool) {
-        self.recorder_enabled = on;
     }
 
     /// Read access to the flight recorder.
@@ -105,18 +95,9 @@ impl Tracer {
     pub fn emit(&mut self, tick: u64, event: TraceEvent) {
         let record = TraceRecord { tick, seq: self.seq, event };
         self.seq += 1;
-        if let Some(sink) = &mut self.sink {
+        if let Some(sink) = &self.sink {
             sink.emit(&record);
-        }
-        if self.recorder_enabled {
             self.recorder.push(record);
-        }
-    }
-
-    /// Flushes the sink, if one is attached.
-    pub fn flush(&mut self) {
-        if let Some(sink) = &mut self.sink {
-            sink.flush();
         }
     }
 }
@@ -134,7 +115,7 @@ mod tests {
     #[test]
     fn emit_stamps_monotonic_seq_and_feeds_recorder() {
         let mut tracer = Tracer::new();
-        tracer.set_sink(Some(Box::new(VecSink::new())));
+        tracer.set_sink(Some(BufferSink::new()));
         assert!(tracer.enabled());
         for tick in [3u64, 3, 5] {
             tracer.emit(tick, TraceEvent::GoUnblock { gid: GoId::new(0, 0) });
@@ -142,14 +123,5 @@ mod tests {
         let tail = tracer.recorder().tail(8);
         assert_eq!(tail.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![0, 1, 2]);
         assert_eq!(tail.iter().map(|r| r.tick).collect::<Vec<_>>(), vec![3, 3, 5]);
-    }
-
-    #[test]
-    fn recorder_alone_can_be_enabled() {
-        let mut tracer = Tracer::new();
-        tracer.set_recorder_enabled(true);
-        assert!(tracer.enabled());
-        tracer.emit(1, TraceEvent::GoEnd { gid: GoId::new(2, 1) });
-        assert_eq!(tracer.recorder().tail(1).len(), 1);
     }
 }

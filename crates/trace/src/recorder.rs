@@ -58,8 +58,7 @@ impl FlightRecorder {
 
     /// The last `k` records concerning goroutine `gid`, oldest first.
     ///
-    /// GC-wide events (phases, gctrace lines) carry no gid and are not
-    /// included.
+    /// GC phase events carry no gid and are not included.
     pub fn tail_for(&self, gid: GoId, k: usize) -> Vec<TraceRecord> {
         let mut out: Vec<TraceRecord> = self
             .ring
@@ -71,11 +70,6 @@ impl FlightRecorder {
             .collect();
         out.reverse();
         out
-    }
-
-    /// Drops all buffered records.
-    pub fn clear(&mut self) {
-        self.ring.clear();
     }
 }
 

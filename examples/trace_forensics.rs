@@ -9,7 +9,7 @@
 
 use golf::core::Session;
 use golf::runtime::{FuncBuilder, ProgramSet, Vm, VmConfig};
-use golf::trace::VecSink;
+use golf::trace::BufferSink;
 
 fn main() {
     let mut p = ProgramSet::new();
@@ -33,16 +33,14 @@ fn main() {
     p.define(b);
 
     let mut session = Session::golf(Vm::boot(p, VmConfig::default()));
-    // A VecSink collects records in memory; SharedJsonlSink::create(path)
-    // streams the same lines to a file (the bench binaries' --trace flag).
-    let sink = VecSink::new();
-    session.set_trace_sink(Some(Box::new(sink.clone())));
+    // A BufferSink renders records to JSONL in memory; the bench binaries'
+    // --trace flag writes the same lines to a file.
+    let sink = BufferSink::new();
+    session.set_trace_sink(Some(sink.clone()));
     session.run(10_000);
 
     println!("=== JSONL event stream ===");
-    for record in sink.records() {
-        println!("{}", record.to_jsonl());
-    }
+    print!("{}", sink.contents());
 
     for report in session.reports() {
         println!("\n=== deadlock report (with forensics) ===");

@@ -23,8 +23,8 @@
 //! * [`service`] — the simulated production service and synthetic
 //!   test-suite corpus for RQ1(b)-(c) and RQ2.
 //! * [`trace`] — structured execution tracer (Go `runtime/trace`
-//!   analogue): event vocabulary, JSONL sinks, bounded flight recorder,
-//!   and a counter/gauge metrics registry.
+//!   analogue): event vocabulary, JSONL buffer sink and bounded flight
+//!   recorder.
 //!
 //! ## Quickstart
 //!

@@ -162,12 +162,20 @@ fn corpus_ratios_match_paper_shape() {
 /// The whole pipeline is deterministic: same seeds, same table.
 #[test]
 fn table1_is_deterministic() {
-    let all = corpus();
-    let subset: Vec<_> = all.into_iter().filter(|b| b.name.starts_with("grpc/3017")).collect();
-    let cfg = Table1Config { procs: vec![1, 2], runs: 4, threads: 2, ..Table1Config::default() };
-    let t1 = golf::micro::run_table1_on(&subset, &cfg);
-    let t2 = golf::micro::run_table1_on(&subset, &cfg);
+    // Several benchmarks, so four workers finish them out of order.
+    let subset: Vec<_> = corpus()
+        .into_iter()
+        .filter(|b| b.name.starts_with("grpc/") || b.name.starts_with("cgo/"))
+        .collect();
+    assert!(subset.len() > 4);
+    let cfg = Table1Config { procs: vec![1, 2], runs: 4, trace: true, ..Table1Config::default() };
+    let t1 = golf::micro::run_table1_on(&subset, &Table1Config { threads: 1, ..cfg.clone() });
+    let t4 = golf::micro::run_table1_on(&subset, &Table1Config { threads: 4, ..cfg });
     let counts =
         |t: &golf::micro::Table1| t.rows.iter().map(|r| r.per_proc.clone()).collect::<Vec<_>>();
-    assert_eq!(counts(&t1), counts(&t2));
+    assert_eq!(counts(&t1), counts(&t4));
+    // One trace block per benchmark, byte-identical at any thread count.
+    assert_eq!(t1.trace.len(), subset.len());
+    assert!(t1.trace.iter().all(|block| !block.is_empty()));
+    assert!(t1.trace == t4.trace, "traced sweep differs between 1 and 4 threads");
 }
