@@ -18,13 +18,42 @@ fn go_id(gid: Gid) -> GoId {
     GoId::new(gid.index(), gid.generation())
 }
 
+/// A set of goroutines keyed by slot index: one bit per slot.
+///
+/// Exact only while no goroutine is spawned, because then a slot names one
+/// goroutine. That holds inside [`GcEngine::collect`] up to the sweep:
+/// finalizer goroutines spawn after it, and a slot freed by
+/// [`Vm::force_shutdown`] is reused only by a spawn.
+#[derive(Debug, Default)]
+struct SlotSet(Vec<u64>);
+
+impl SlotSet {
+    fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    fn insert(&mut self, gid: Gid) {
+        let i = gid.index() as usize;
+        if i / 64 >= self.0.len() {
+            self.0.resize(i / 64 + 1, 0);
+        }
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    fn contains(&self, gid: Gid) -> bool {
+        let i = gid.index() as usize;
+        self.0.get(i / 64).is_some_and(|w| w & (1 << (i % 64)) != 0)
+    }
+}
+
 /// Reusable per-cycle working state, hoisted out of [`GcEngine::collect`] so
 /// steady-state cycles clear containers instead of reallocating them.
 #[derive(Debug, Default)]
 struct CycleScratch {
     inert_globals: HashSet<golf_heap::Handle>,
     inert_sites: HashSet<Arc<str>>,
-    in_roots: HashSet<Gid>,
+    /// Goroutines in the root set: reachably live so far.
+    in_roots: SlotSet,
     inert_gids: HashSet<Gid>,
     added: Vec<Gid>,
 }
@@ -367,7 +396,7 @@ impl GcEngine {
             while let Some(h) = marker.step(vm.heap_mut()) {
                 for gid in vm.waiters_on(h) {
                     stats.liveness_checks += 1;
-                    if scratch.in_roots.contains(&gid) || scratch.inert_gids.contains(&gid) {
+                    if scratch.in_roots.contains(gid) || scratch.inert_gids.contains(&gid) {
                         continue;
                     }
                     if let Some(g) = vm.goroutine(gid).filter(|g| g.deadlock_candidate()) {
@@ -404,7 +433,7 @@ impl GcEngine {
                     }
                     ExpansionStrategy::Rescan => {
                         for g in vm.live_goroutines() {
-                            if scratch.in_roots.contains(&g.id)
+                            if scratch.in_roots.contains(g.id)
                                 || scratch.inert_gids.contains(&g.id)
                                 || !g.deadlock_candidate()
                             {
@@ -424,6 +453,7 @@ impl GcEngine {
                                 }
                             }
                             if live {
+                                scratch.in_roots.insert(g.id);
                                 scratch.added.push(g.id);
                             }
                         }
@@ -434,15 +464,17 @@ impl GcEngine {
                         for h in marker.take_newly_marked() {
                             for gid in vm.waiters_on(h) {
                                 stats.liveness_checks += 1;
-                                if scratch.in_roots.contains(&gid)
+                                // Joining the root set at once dedups a
+                                // goroutine waiting on several marked objects.
+                                if scratch.in_roots.contains(gid)
                                     || scratch.inert_gids.contains(&gid)
-                                    || scratch.added.contains(&gid)
                                 {
                                     continue;
                                 }
                                 let candidate =
                                     vm.goroutine(gid).is_some_and(|g| g.deadlock_candidate());
                                 if candidate {
+                                    scratch.in_roots.insert(gid);
                                     scratch.added.push(gid);
                                 }
                             }
@@ -453,7 +485,6 @@ impl GcEngine {
                     break;
                 }
                 for gid in &scratch.added {
-                    scratch.in_roots.insert(*gid);
                     if let Some(g) = vm.goroutine(*gid) {
                         for h in g.stack_roots() {
                             marker.push_root(h);
@@ -485,24 +516,22 @@ impl GcEngine {
             if vm.trace_enabled() {
                 vm.trace_emit(TraceEvent::GcPhaseBegin { cycle: cycle_no, phase: "detect" });
             }
-            let deadlocked: Vec<Gid> = vm
-                .live_goroutines()
-                .filter(|g| {
-                    g.deadlock_candidate()
-                        && !scratch.in_roots.contains(&g.id)
-                        && !scratch.inert_gids.contains(&g.id)
-                })
-                .map(|g| g.id)
-                .collect();
-
-            // Forensics snapshot: render the wait-for graph while this
-            // cycle's mark bits are still valid (pre-sweep).
-            let wait_for_dot = if deadlocked.is_empty() {
-                String::new()
-            } else {
-                let set: HashSet<Gid> = deadlocked.iter().copied().collect();
-                forensics::wait_for_graph_dot(vm, &set)
+            let is_deadlocked = |g: &Goroutine| {
+                g.deadlock_candidate()
+                    && !scratch.in_roots.contains(g.id)
+                    && !scratch.inert_gids.contains(&g.id)
             };
+            let deadlocked: Vec<Gid> =
+                vm.live_goroutines().filter(|g| is_deadlocked(g)).map(|g| g.id).collect();
+
+            // Forensics snapshot, shared by this cycle's new reports: capture
+            // the wait-for graph while the mark bits are still valid
+            // (pre-sweep), and only if some report will carry it.
+            let any_new = deadlocked
+                .iter()
+                .any(|&gid| vm.goroutine(gid).is_some_and(|g| !g.reported_deadlocked));
+            let wait_for =
+                any_new.then(|| Arc::new(forensics::WaitForGraph::capture(vm, is_deadlocked)));
 
             let mut new_reports = 0usize;
             for &gid in &deadlocked {
@@ -513,7 +542,7 @@ impl GcEngine {
                 let mut report = self.build_report(vm, gid, cycle_no);
                 report.recent_events =
                     forensics::flight_tail(vm, gid, forensics::DEFAULT_FORENSIC_TAIL);
-                report.wait_for_dot = wait_for_dot.clone();
+                report.wait_for = wait_for.clone();
                 if vm.trace_enabled() {
                     vm.trace_emit(TraceEvent::DeadlockDetected {
                         gid: go_id(gid),
@@ -671,7 +700,7 @@ impl GcEngine {
             cycle,
             tick: vm.now(),
             recent_events: Vec::new(),
-            wait_for_dot: String::new(),
+            wait_for: None,
         }
     }
 

@@ -3,12 +3,17 @@
 //! The paper's reports name the blocked operation and the `go` statement;
 //! real debugging wants more: *what the goroutine did right before parking*
 //! and *which objects the deadlocked clique is waiting on*. This module
-//! renders both from state the collector already has — the runtime's
+//! captures both from state the collector already has — the runtime's
 //! flight recorder and the mark bits of the cycle that proved the deadlock.
+//!
+//! The wait-for graph is captured inside the GC pause as plain data (a
+//! [`WaitForGraph`]) and rendered to DOT only when someone reads it, so the
+//! pause never formats a string for it.
 
-use golf_runtime::{GStatus, Gid, Object, Vm};
+use golf_heap::Handle;
+use golf_runtime::{FuncId, GStatus, Gid, Goroutine, Object, ProgramSet, Vm, WaitReason};
 use golf_trace::GoId;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Number of flight-recorder events attached to each deadlock report.
@@ -27,75 +32,179 @@ pub fn flight_tail(vm: &Vm, gid: Gid, k: usize) -> Vec<String> {
     vm.tracer().recorder().tail_for(go_id(gid), k).iter().map(|r| r.to_string()).collect()
 }
 
-fn object_kind(obj: &Object) -> &'static str {
-    match obj {
-        Object::Chan(_) => "chan",
-        Object::Mutex(_) => "mutex",
-        Object::RwLock(_) => "rwmutex",
-        Object::WaitGroup(_) => "waitgroup",
-        Object::Cond(_) => "cond",
-        Object::Sema => "sema",
-        Object::Struct { .. } => "struct",
-        Object::Slice(_) => "slice",
-        Object::Map(_) => "map",
-        Object::Once { .. } => "once",
-        Object::Cell(_) => "cell",
-        Object::Blob { .. } => "blob",
+/// The kind of a `B(g)` object, as the DOT label names it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ObjectKind {
+    Chan,
+    Mutex,
+    RwMutex,
+    WaitGroup,
+    Cond,
+    Sema,
+    Struct,
+    Slice,
+    Map,
+    Once,
+    Cell,
+    Blob,
+    /// The handle no longer resolves.
+    Freed,
+}
+
+impl ObjectKind {
+    fn of(obj: Option<&Object>) -> Self {
+        match obj {
+            Some(Object::Chan(_)) => ObjectKind::Chan,
+            Some(Object::Mutex(_)) => ObjectKind::Mutex,
+            Some(Object::RwLock(_)) => ObjectKind::RwMutex,
+            Some(Object::WaitGroup(_)) => ObjectKind::WaitGroup,
+            Some(Object::Cond(_)) => ObjectKind::Cond,
+            Some(Object::Sema) => ObjectKind::Sema,
+            Some(Object::Struct { .. }) => ObjectKind::Struct,
+            Some(Object::Slice(_)) => ObjectKind::Slice,
+            Some(Object::Map(_)) => ObjectKind::Map,
+            Some(Object::Once { .. }) => ObjectKind::Once,
+            Some(Object::Cell(_)) => ObjectKind::Cell,
+            Some(Object::Blob { .. }) => ObjectKind::Blob,
+            None => ObjectKind::Freed,
+        }
+    }
+
+    fn as_str(self) -> &'static str {
+        match self {
+            ObjectKind::Chan => "chan",
+            ObjectKind::Mutex => "mutex",
+            ObjectKind::RwMutex => "rwmutex",
+            ObjectKind::WaitGroup => "waitgroup",
+            ObjectKind::Cond => "cond",
+            ObjectKind::Sema => "sema",
+            ObjectKind::Struct => "struct",
+            ObjectKind::Slice => "slice",
+            ObjectKind::Map => "map",
+            ObjectKind::Once => "once",
+            ObjectKind::Cell => "cell",
+            ObjectKind::Blob => "blob",
+            ObjectKind::Freed => "freed",
+        }
     }
 }
 
-/// Renders the wait-for graph of every parked goroutine as Graphviz DOT.
-///
-/// Goroutine nodes (ellipses) link to the objects in their blocking set
-/// `B(g)` (boxes). Object labels carry the mark state of the current GC
-/// cycle, so the graph must be rendered **pre-sweep, post-marking** — the
-/// collector calls this at detection time, when an `unmarked` box is
-/// exactly an object unreachable from live code. Goroutines in
-/// `deadlocked` are drawn red; reachably-live blocked goroutines stay
-/// black, which makes the unreachable clique visually obvious.
-///
-/// Output is deterministic: goroutines are emitted in slot order and
-/// objects in handle order.
-pub fn wait_for_graph_dot(vm: &Vm, deadlocked: &HashSet<Gid>) -> String {
-    let program = vm.program();
-    let mut out = String::from("digraph wait_for {\n  rankdir=LR;\n");
-    let mut edges = String::new();
-    // Handle -> node id, gathered while walking goroutines, emitted sorted.
-    let mut objects: BTreeMap<u64, String> = BTreeMap::new();
+/// One parked goroutine of a [`WaitForGraph`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ParkedGoroutine {
+    gid: Gid,
+    reason: WaitReason,
+    /// The top frame as `(function, pc)`; `None` for a goroutine without
+    /// frames.
+    top: Option<(FuncId, usize)>,
+    deadlocked: bool,
+    /// How many entries of [`WaitForGraph::objects`] belong to this
+    /// goroutine's `B(g)`.
+    blocked_on: usize,
+}
 
-    for g in vm.live_goroutines() {
-        let GStatus::Waiting(reason) = g.status else { continue };
-        let loc = g
-            .frames
-            .last()
-            .map(|f| program.describe_loc(f.func, f.pc.saturating_sub(1)))
-            .unwrap_or_else(|| "<no frames>".into());
-        let color = if deadlocked.contains(&g.id) { "red" } else { "black" };
-        let _ = writeln!(
-            out,
-            "  \"{id}\" [shape=ellipse, color={color}, label=\"{id}\\n{reason}\\n{loc}\"];",
-            id = g.id,
-        );
-        for &h in g.blocked.handles() {
-            // Masked handles (§5.4) hide the object from the marker; the
-            // forensic view sees through them for labeling only.
-            let real = h.unmasked();
-            let node = format!("{real}");
-            objects.entry(real.raw()).or_insert_with(|| {
-                let kind = vm.heap().get(real).map(object_kind).unwrap_or("freed");
-                let mark = if vm.heap().is_marked(real) { "marked" } else { "unmarked" };
-                let style = if vm.heap().is_marked(real) { "solid" } else { "dashed" };
-                format!(
-                    "  \"{node}\" [shape=box, style={style}, label=\"{node}\\n{kind}\\n{mark}\"];\n"
-                )
+/// One `B(g)` entry of a [`WaitForGraph`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct BlockedObject {
+    /// Masked handles (§5.4) hide the object from the marker; the forensic
+    /// view sees through them, so this is the unmasked handle.
+    handle: Handle,
+    kind: ObjectKind,
+    marked: bool,
+}
+
+/// The wait-for graph of every parked goroutine at detection time: each
+/// goroutine, and the objects in its blocking set `B(g)` with their mark
+/// state.
+///
+/// The collector captures it during the GC pause, **pre-sweep,
+/// post-marking**, when an `unmarked` object is exactly one unreachable
+/// from live code. It holds only plain data, so capturing formats nothing;
+/// [`WaitForGraph::to_dot`] renders it when it is read.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct WaitForGraph {
+    /// Parked goroutines in slot order.
+    goroutines: Vec<ParkedGoroutine>,
+    /// Every goroutine's `B(g)`, concatenated in goroutine order.
+    objects: Vec<BlockedObject>,
+}
+
+impl WaitForGraph {
+    /// Captures the wait-for graph of `vm`'s parked goroutines, flagging
+    /// those for which `deadlocked` holds. Must run while the current
+    /// cycle's mark bits are valid.
+    pub fn capture(vm: &Vm, deadlocked: impl Fn(&Goroutine) -> bool) -> Self {
+        let heap = vm.heap();
+        let mut graph = WaitForGraph::default();
+        for g in vm.live_goroutines() {
+            let GStatus::Waiting(reason) = g.status else { continue };
+            let handles = g.blocked.handles();
+            graph.goroutines.push(ParkedGoroutine {
+                gid: g.id,
+                reason,
+                top: g.frames.last().map(|f| (f.func, f.pc)),
+                deadlocked: deadlocked(g),
+                blocked_on: handles.len(),
             });
-            let _ = writeln!(edges, "  \"{id}\" -> \"{node}\";", id = g.id);
+            graph.objects.extend(handles.iter().map(|h| {
+                let handle = h.unmasked();
+                BlockedObject {
+                    handle,
+                    kind: ObjectKind::of(heap.get(handle)),
+                    marked: heap.is_marked(handle),
+                }
+            }));
         }
+        graph
     }
-    for node in objects.values() {
-        out.push_str(node);
+
+    /// Renders the graph as Graphviz DOT. `program` must be the one the
+    /// graph was captured from.
+    ///
+    /// Goroutine nodes (ellipses) link to the objects in their `B(g)`
+    /// (boxes). Object labels carry the mark state of the capturing cycle.
+    /// Deadlocked goroutines are drawn red; reachably-live blocked
+    /// goroutines stay black, which makes the unreachable clique visually
+    /// obvious.
+    ///
+    /// Output is deterministic: goroutines are emitted in slot order and
+    /// objects in handle order.
+    pub fn to_dot(&self, program: &ProgramSet) -> String {
+        let mut out = String::from("digraph wait_for {\n  rankdir=LR;\n");
+        let mut edges = String::new();
+        // Handle -> object, gathered while walking goroutines, emitted sorted.
+        let mut objects: BTreeMap<u64, BlockedObject> = BTreeMap::new();
+        let mut rest = self.objects.as_slice();
+        for g in &self.goroutines {
+            let loc = g
+                .top
+                .map(|(func, pc)| program.describe_loc(func, pc.saturating_sub(1)))
+                .unwrap_or_else(|| "<no frames>".into());
+            let color = if g.deadlocked { "red" } else { "black" };
+            let _ = writeln!(
+                out,
+                "  \"{id}\" [shape=ellipse, color={color}, label=\"{id}\\n{reason}\\n{loc}\"];",
+                id = g.gid,
+                reason = g.reason,
+            );
+            let (blocked_on, tail) = rest.split_at(g.blocked_on);
+            rest = tail;
+            for o in blocked_on {
+                objects.entry(o.handle.raw()).or_insert(*o);
+                let _ = writeln!(edges, "  \"{}\" -> \"{}\";", g.gid, o.handle);
+            }
+        }
+        for o in objects.values() {
+            let (style, mark) = if o.marked { ("solid", "marked") } else { ("dashed", "unmarked") };
+            let _ = writeln!(
+                out,
+                "  \"{node}\" [shape=box, style={style}, label=\"{node}\\n{kind}\\n{mark}\"];",
+                node = o.handle,
+                kind = o.kind.as_str(),
+            );
+        }
+        out.push_str(&edges);
+        out.push_str("}\n");
+        out
     }
-    out.push_str(&edges);
-    out.push_str("}\n");
-    out
 }

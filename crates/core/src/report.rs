@@ -1,6 +1,7 @@
 //! Deadlock reports: what GOLF tells the developer.
 
-use golf_runtime::{Gid, WaitReason};
+use crate::forensics::WaitForGraph;
+use golf_runtime::{Gid, ProgramSet, WaitReason};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -34,10 +35,11 @@ pub struct DeadlockReport {
     /// first — what it did right before (and while) deadlocking. Empty
     /// when tracing was off at detection time.
     pub recent_events: Vec<String>,
-    /// Graphviz DOT rendering of the wait-for graph at detection time
-    /// (blocked goroutines, their `B(g)` objects, and each object's mark
-    /// state). Empty when the detection produced no graph.
-    pub wait_for_dot: String,
+    /// The wait-for graph at detection time (blocked goroutines, their
+    /// `B(g)` objects, and each object's mark state), shared by every
+    /// report of the detecting cycle. `None` when the detection produced no
+    /// graph. [`DeadlockReport::wait_for_dot`] renders it.
+    pub wait_for: Option<Arc<WaitForGraph>>,
 }
 
 impl DeadlockReport {
@@ -54,6 +56,13 @@ impl DeadlockReport {
     pub fn dedup_key_owned(&self) -> (String, String) {
         let (block, site) = self.dedup_key();
         (block.to_string(), site.to_string())
+    }
+
+    /// Graphviz DOT rendering of [`DeadlockReport::wait_for`]; empty when
+    /// there is no graph. `program` must be the program the report came
+    /// from.
+    pub fn wait_for_dot(&self, program: &ProgramSet) -> String {
+        self.wait_for.as_ref().map_or_else(String::new, |g| g.to_dot(program))
     }
 }
 
@@ -99,7 +108,7 @@ impl fmt::Display for DeadlockReport {
 /// #     cycle: 1,
 /// #     tick: 0,
 /// #     recent_events: vec![],
-/// #     wait_for_dot: String::new(),
+/// #     wait_for: None,
 /// # };
 /// let reports = vec![mk("a:1"), mk("a:1"), mk("b:9")];
 /// let counts = dedup_counts(&reports);
@@ -128,7 +137,7 @@ mod tests {
             cycle: 1,
             tick: 100,
             recent_events: vec![],
-            wait_for_dot: String::new(),
+            wait_for: None,
         }
     }
 

@@ -8,6 +8,7 @@
 use golf_core::{forensics, Session};
 use golf_runtime::{FuncBuilder, ProgramSet, Vm, VmConfig};
 use golf_trace::BufferSink;
+use std::sync::Arc;
 
 /// The paper's Listing 7 shape: `task` sends on a channel `main` drops.
 fn leaky_program() -> ProgramSet {
@@ -28,6 +29,45 @@ fn leaky_program() -> ProgramSet {
     b.ret(None);
     p.define(b);
     p
+}
+
+/// Two `task`s send on one channel that `main` drops, so both deadlock on
+/// the same object; a `waiter` receives on a channel `main` still holds
+/// across the collection, so it is blocked but reachably live.
+fn shared_channel_program() -> ProgramSet {
+    let mut p = ProgramSet::new();
+    let site = p.site("main:go");
+    let mut b = FuncBuilder::new("task", 1);
+    let ch = b.param(0);
+    let one = b.int(1);
+    b.send(ch, one);
+    let task = p.define(b);
+    let mut b = FuncBuilder::new("waiter", 1);
+    let ch = b.param(0);
+    b.recv(ch, None);
+    let waiter = p.define(b);
+    let mut b = FuncBuilder::new("main", 0);
+    let shared = b.var("shared");
+    let live = b.var("live");
+    b.make_chan(shared, 0);
+    b.make_chan(live, 0);
+    b.go(task, &[shared], site);
+    b.go(task, &[shared], site);
+    b.go(waiter, &[live], site);
+    b.clear(shared);
+    b.sleep(10);
+    b.gc();
+    let one = b.int(1);
+    b.send(live, one);
+    b.ret(None);
+    p.define(b);
+    p
+}
+
+fn shared_channel_session() -> Session {
+    let mut session = Session::golf(Vm::boot(shared_channel_program(), VmConfig::default()));
+    session.run(10_000);
+    session
 }
 
 /// Runs the leaky program under GOLF with a trace sink; returns the
@@ -86,17 +126,37 @@ fn reports_carry_flight_recorder_tail_and_wait_for_graph() {
         "tail should show the fatal park: {:?}",
         r.recent_events
     );
-    assert!(r.wait_for_dot.starts_with("digraph wait_for {"), "{}", r.wait_for_dot);
-    assert!(r.wait_for_dot.contains("color=red"), "deadlocked node must be red");
-    assert!(r.wait_for_dot.contains("unmarked"), "B(g) object must be unmarked");
+    let dot = r.wait_for_dot(session.vm().program());
+    assert!(dot.starts_with("digraph wait_for {"), "{dot}");
+    assert!(dot.contains("color=red"), "deadlocked node must be red");
+    assert!(dot.contains("unmarked"), "B(g) object must be unmarked");
 }
 
 #[test]
 fn wait_for_graph_matches_golden_file() {
     let (_, session) = traced_run(0);
-    let dot = &session.reports()[0].wait_for_dot;
+    let dot = session.reports()[0].wait_for_dot(session.vm().program());
     let golden = include_str!("golden/wait_for_leaky.dot");
     assert_eq!(dot, golden, "DOT export drifted from tests/golden/wait_for_leaky.dot");
+}
+
+#[test]
+fn shared_channel_graph_matches_golden_file() {
+    let session = shared_channel_session();
+    let reports = session.reports();
+    assert_eq!(reports.len(), 2, "both senders deadlock, the waiter does not");
+    let dot = reports[0].wait_for_dot(session.vm().program());
+    let golden = include_str!("golden/wait_for_shared_chan.dot");
+    assert_eq!(dot, golden, "DOT export drifted from tests/golden/wait_for_shared_chan.dot");
+}
+
+#[test]
+fn reports_of_one_cycle_share_one_graph() {
+    let session = shared_channel_session();
+    let [a, b] = session.reports() else { panic!("expected two reports") };
+    assert_eq!(a.cycle, b.cycle, "both deadlocks are found by one cycle");
+    let (ga, gb) = (a.wait_for.as_ref().unwrap(), b.wait_for.as_ref().unwrap());
+    assert!(Arc::ptr_eq(ga, gb), "one snapshot per cycle, shared by its reports");
 }
 
 #[test]
@@ -106,8 +166,8 @@ fn forensics_are_empty_without_tracing() {
     session.run(10_000);
     let r = &session.reports()[0];
     assert!(r.recent_events.is_empty(), "no recorder without a sink");
-    // The graph is rendered from GC state and needs no tracing.
-    assert!(r.wait_for_dot.contains("digraph wait_for"));
+    // The graph is captured from GC state and needs no tracing.
+    assert!(r.wait_for_dot(session.vm().program()).contains("digraph wait_for"));
 }
 
 #[test]

@@ -91,7 +91,7 @@ fn hash_run(h: &mut Fnv, mb: &Microbenchmark, procs: usize, golf: GolfConfig) {
     }
     for r in session.reports() {
         h.bytes(r.to_string().as_bytes());
-        h.bytes(r.wait_for_dot.as_bytes());
+        h.bytes(r.wait_for_dot(session.vm().program()).as_bytes());
         h.num(r.cycle);
         h.num(r.tick);
     }

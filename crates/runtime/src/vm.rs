@@ -553,11 +553,10 @@ impl Vm {
     /// queue and from the semaphore treap, run the special cleanup that
     /// resets select state, and recycle the slot.
     pub fn force_shutdown(&mut self, gid: Gid) {
-        let Some(g) = self.goroutine(gid) else { return };
-        let blocked = g.blocked.clone();
-        match &blocked {
+        let Some(g) = self.g_mut(gid) else { return };
+        match std::mem::replace(&mut g.blocked, Blocked::None) {
             Blocked::Chans(chans) => {
-                for &ch in chans {
+                for ch in chans {
                     if let Some(Object::Chan(c)) = self.heap.get_mut(ch) {
                         c.sendq.retain(|w| w.gid != gid);
                         c.recvq.retain(|w| w.gid != gid);
@@ -565,7 +564,7 @@ impl Vm {
                 }
             }
             Blocked::Sema(sema) => {
-                self.treap.remove_goroutine(*sema, gid);
+                self.treap.remove_goroutine(sema, gid);
             }
             Blocked::None | Blocked::Epsilon => {}
         }
@@ -576,7 +575,6 @@ impl Vm {
         g.pending_lock = None;
         g.status = GStatus::Dead;
         g.frames.clear();
-        g.blocked = Blocked::None;
         g.wait_token += 1;
         self.gfree.push(gid.index());
         self.counters.forced_shutdowns += 1;

@@ -46,6 +46,6 @@ fn main() {
         println!("\n=== deadlock report (with forensics) ===");
         println!("{report}");
         println!("=== wait-for graph (DOT) ===");
-        print!("{}", report.wait_for_dot);
+        print!("{}", report.wait_for_dot(session.vm().program()));
     }
 }
