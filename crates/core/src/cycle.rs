@@ -52,9 +52,10 @@ impl SlotSet {
 struct CycleScratch {
     inert_globals: HashSet<golf_heap::Handle>,
     inert_sites: HashSet<Arc<str>>,
-    /// Goroutines in the root set: reachably live so far.
+    /// Goroutines in the root set: reachably live so far, or hinted inert.
     in_roots: SlotSet,
-    inert_gids: HashSet<Gid>,
+    /// Hinted-inert goroutines, whose stacks are marked only before the sweep.
+    inert_gids: Vec<Gid>,
     added: Vec<Gid>,
 }
 
@@ -252,7 +253,7 @@ impl GcEngine {
         detection: bool,
         pause_start: Instant,
     ) -> Option<GcCycleStats> {
-        let (mut stats, mark_phase_count, hits) = {
+        let (mut stats, mark_phase_count) = {
             let cache = self.caches[usize::from(detection)].as_ref()?;
             if vm.heap().mutation_epoch() != cache.heap_epoch
                 || vm.roots_epoch() != cache.roots_epoch
@@ -269,7 +270,7 @@ impl GcEngine {
             if n != cache.fingerprints.len() {
                 return None;
             }
-            (cache.stats.clone(), cache.mark_phase_count, n as u64)
+            (cache.stats.clone(), cache.mark_phase_count)
         };
 
         // Quiescence proven: the cached (side-effect-free) cycle would be
@@ -277,8 +278,6 @@ impl GcEngine {
         // from the cached cycle is still exact and is reused wholesale.
         stats.cycle = cycle_no;
         stats.incremental_replayed = true;
-        stats.marks_reused = vm.heap().marked_count() as u64;
-        stats.liveness_cache_hits = hits;
         if vm.trace_enabled() {
             // The default trace events a steady full cycle would emit.
             vm.trace_emit(TraceEvent::GcPhaseBegin { cycle: cycle_no, phase: "mark" });
@@ -370,8 +369,11 @@ impl GcEngine {
         let mut goroutine_roots = 0usize;
         for g in vm.live_goroutines() {
             if detection && spawn_site_is_inert(vm, &scratch.inert_sites, g) {
-                scratch.inert_gids.insert(g.id);
-                continue; // withheld from liveness; re-marked before sweep
+                // In the root set without its stack: never expanded or
+                // reported, and its stack is marked only before the sweep.
+                scratch.in_roots.insert(g.id);
+                scratch.inert_gids.push(g.id);
+                continue;
             }
             let include = !detection || !g.deadlock_candidate();
             if include {
@@ -385,129 +387,90 @@ impl GcEngine {
         stats.phases.push(PhaseEvent::RootsPrepared { goroutine_roots, restricted: detection });
 
         // ---- Iterative marking to the reachable-liveness fixed point ----
+        // Root expansion (paper §4.2 step 3): a blocked goroutine whose B(g)
+        // intersects the marked heap is reachably live. The §5.3 strategies
+        // differ only in when such a goroutine is found and when its stack
+        // joins the worklist: `Rescan` re-scans every blocked goroutine after
+        // each iteration; `FromMarked` tests the waiters of each object as it
+        // is blackened and pushes the stacks after the iteration;
+        // `Incremental` pushes them at once, so marking finishes in one pass.
         if vm.trace_enabled() {
             vm.trace_emit(TraceEvent::GcPhaseBegin { cycle: cycle_no, phase: "mark" });
         }
         let mark_start = Instant::now();
-        if detection && self.golf.expansion == ExpansionStrategy::Incremental {
-            // §5.3's furthest variant: expand the root set *during* marking.
-            // One pass, no restarts; an object's waiters join the worklist
-            // the instant the object is blackened.
+        let strategy = self.golf.expansion;
+        let check_waiters = detection && strategy != ExpansionStrategy::Rescan;
+        loop {
+            stats.mark_iterations += 1;
+            let before = marker.marked;
+            scratch.added.clear();
             while let Some(h) = marker.step(vm.heap_mut()) {
+                if !check_waiters {
+                    continue;
+                }
                 for gid in vm.waiters_on(h) {
                     stats.liveness_checks += 1;
-                    if scratch.in_roots.contains(gid) || scratch.inert_gids.contains(&gid) {
+                    // Joining the root set at once dedups a goroutine
+                    // waiting on several marked objects.
+                    if scratch.in_roots.contains(gid)
+                        || !vm.goroutine(gid).is_some_and(|g| g.deadlock_candidate())
+                    {
                         continue;
                     }
-                    if let Some(g) = vm.goroutine(gid).filter(|g| g.deadlock_candidate()) {
-                        scratch.in_roots.insert(gid);
-                        for root in g.stack_roots() {
-                            marker.push_root(root);
-                        }
+                    scratch.in_roots.insert(gid);
+                    if strategy == ExpansionStrategy::Incremental {
+                        push_stack(&mut marker, vm, gid);
+                    } else {
+                        scratch.added.push(gid);
                     }
                 }
             }
-            stats.mark_iterations = 1;
-            stats
-                .phases
-                .push(PhaseEvent::MarkIteration { iteration: 1, newly_marked: marker.marked });
-        } else {
-            loop {
-                stats.mark_iterations += 1;
-                let newly = marker.drain(vm.heap_mut());
-                stats.phases.push(PhaseEvent::MarkIteration {
-                    iteration: stats.mark_iterations,
-                    newly_marked: newly,
-                });
-                if !detection {
-                    break;
-                }
-                // Root expansion (paper §4.2 step 3): a blocked goroutine whose
-                // B(g) intersects the marked heap is reachably live.
-                scratch.added.clear();
-                match self.golf.expansion {
-                    // Incremental expansion happens inside the single-pass
-                    // marking loop above.
-                    ExpansionStrategy::Incremental => {
-                        unreachable!("handled by the single-pass loop")
+            stats.phases.push(PhaseEvent::MarkIteration {
+                iteration: stats.mark_iterations,
+                newly_marked: marker.marked - before,
+            });
+            if detection && strategy == ExpansionStrategy::Rescan {
+                for g in vm.live_goroutines() {
+                    if scratch.in_roots.contains(g.id) || !g.deadlock_candidate() {
+                        continue;
                     }
-                    ExpansionStrategy::Rescan => {
-                        for g in vm.live_goroutines() {
-                            if scratch.in_roots.contains(g.id)
-                                || scratch.inert_gids.contains(&g.id)
-                                || !g.deadlock_candidate()
-                            {
-                                continue;
-                            }
-                            let mut live = false;
-                            for &o in g.blocked.handles() {
-                                stats.liveness_checks += 1;
-                                // `is_marked` is false for stale handles too; all
-                                // our concurrency objects are heap-tracked, so
-                                // there is no "not on the heap ⇒ conservatively
-                                // reachable" case (globals are heap objects
-                                // reached via the root scan).
-                                if vm.heap().is_marked(o) {
-                                    live = true;
-                                    break;
-                                }
-                            }
-                            if live {
-                                scratch.in_roots.insert(g.id);
-                                scratch.added.push(g.id);
-                            }
+                    let mut live = false;
+                    for &o in g.blocked.handles() {
+                        stats.liveness_checks += 1;
+                        // `is_marked` is false for stale handles too; all
+                        // our concurrency objects are heap-tracked, so
+                        // there is no "not on the heap ⇒ conservatively
+                        // reachable" case (globals are heap objects
+                        // reached via the root scan).
+                        if vm.heap().is_marked(o) {
+                            live = true;
+                            break;
                         }
                     }
-                    ExpansionStrategy::FromMarked => {
-                        // §5.3: only the wait queues of objects marked in the
-                        // last iteration can yield newly-live goroutines.
-                        for h in marker.take_newly_marked() {
-                            for gid in vm.waiters_on(h) {
-                                stats.liveness_checks += 1;
-                                // Joining the root set at once dedups a
-                                // goroutine waiting on several marked objects.
-                                if scratch.in_roots.contains(gid)
-                                    || scratch.inert_gids.contains(&gid)
-                                {
-                                    continue;
-                                }
-                                let candidate =
-                                    vm.goroutine(gid).is_some_and(|g| g.deadlock_candidate());
-                                if candidate {
-                                    scratch.in_roots.insert(gid);
-                                    scratch.added.push(gid);
-                                }
-                            }
-                        }
+                    if live {
+                        scratch.in_roots.insert(g.id);
+                        scratch.added.push(g.id);
                     }
                 }
-                if scratch.added.is_empty() {
-                    break;
-                }
-                for gid in &scratch.added {
-                    if let Some(g) = vm.goroutine(*gid) {
-                        for h in g.stack_roots() {
-                            marker.push_root(h);
-                        }
-                    }
-                }
-                stats
-                    .phases
-                    .push(PhaseEvent::RootExpansion { goroutines_added: scratch.added.len() });
             }
+            if scratch.added.is_empty() {
+                break;
+            }
+            for &gid in &scratch.added {
+                push_stack(&mut marker, vm, gid);
+            }
+            stats.phases.push(PhaseEvent::RootExpansion { goroutines_added: scratch.added.len() });
         }
-        stats.objects_marked = marker.marked;
-        stats.pointer_traversals = marker.traversals;
         stats.mark_ns = mark_start.elapsed().as_nanos() as u64;
         stats.phases.push(PhaseEvent::MarkDone);
-        // The marked count *before* the inert/preserved re-mark passes —
-        // what the `gc_phase_end` mark event reports, cached for replay.
-        let mark_phase_count = stats.objects_marked;
+        // The marked count *before* the re-marks below — what the
+        // `gc_phase_end` mark event reports, cached for replay.
+        let mark_phase_count = marker.marked;
         if vm.trace_enabled() {
             vm.trace_emit(TraceEvent::GcPhaseEnd {
                 cycle: cycle_no,
                 phase: "mark",
-                count: stats.objects_marked,
+                count: mark_phase_count,
             });
         }
 
@@ -516,11 +479,8 @@ impl GcEngine {
             if vm.trace_enabled() {
                 vm.trace_emit(TraceEvent::GcPhaseBegin { cycle: cycle_no, phase: "detect" });
             }
-            let is_deadlocked = |g: &Goroutine| {
-                g.deadlock_candidate()
-                    && !scratch.in_roots.contains(g.id)
-                    && !scratch.inert_gids.contains(&g.id)
-            };
+            let is_deadlocked =
+                |g: &Goroutine| g.deadlock_candidate() && !scratch.in_roots.contains(g.id);
             let deadlocked: Vec<Gid> =
                 vm.live_goroutines().filter(|g| is_deadlocked(g)).map(|g| g.id).collect();
 
@@ -572,9 +532,12 @@ impl GcEngine {
                     // from deadlocked goroutines, check for finalizers. Any
                     // finalizer ⇒ keep the goroutine (and its memory) alive
                     // forever so Go's observable semantics are preserved.
+                    // Its subgraph is marked at once, before the next
+                    // goroutine's finalizer check looks for unmarked objects.
                     if self.subgraph_has_finalizer(vm, gid) {
                         vm.set_deadlocked(gid);
-                        self.mark_goroutine_subgraph(vm, gid, &mut stats);
+                        push_stack(&mut marker, vm, gid);
+                        marker.drain(vm.heap_mut());
                         preserved += 1;
                     } else {
                         vm.force_shutdown(gid);
@@ -592,31 +555,25 @@ impl GcEngine {
             } else {
                 // Report-only mode: the goroutines stay parked, so their
                 // memory must survive the sweep (only the *report* is
-                // withheld from re-emission).
+                // withheld from re-emission). Marked by the drain below.
                 for &gid in &deadlocked {
-                    self.mark_goroutine_subgraph(vm, gid, &mut stats);
+                    push_stack(&mut marker, vm, gid);
                 }
             }
         }
 
         // Re-mark the hinted (inert) sources: they were withheld from the
-        // liveness computation only; their memory is still reachable.
-        if !scratch.inert_globals.is_empty() || !scratch.inert_gids.is_empty() {
-            let mut remark = Marker::new();
-            for &h in &scratch.inert_globals {
-                remark.push_root(h);
-            }
-            for &gid in &scratch.inert_gids {
-                if let Some(g) = vm.goroutine(gid) {
-                    for h in g.stack_roots() {
-                        remark.push_root(h);
-                    }
-                }
-            }
-            remark.drain(vm.heap_mut());
-            stats.objects_marked += remark.marked;
-            stats.pointer_traversals += remark.traversals;
+        // liveness computation only; their memory is still reachable. The
+        // same drain marks the report-only stacks pushed above.
+        for &h in &scratch.inert_globals {
+            marker.push_root(h);
         }
+        for &gid in &scratch.inert_gids {
+            push_stack(&mut marker, vm, gid);
+        }
+        marker.drain(vm.heap_mut());
+        stats.objects_marked = marker.marked;
+        stats.pointer_traversals = marker.traversals;
 
         // ---- Sweep ----
         if vm.trace_enabled() {
@@ -726,19 +683,14 @@ impl GcEngine {
         }
         false
     }
+}
 
-    /// Marks everything reachable from `gid`'s stack (used to keep the
-    /// memory of preserved or report-only deadlocked goroutines alive).
-    fn mark_goroutine_subgraph(&self, vm: &mut Vm, gid: Gid, stats: &mut GcCycleStats) {
-        let Some(g) = vm.goroutine(gid) else { return };
-        let roots: Vec<_> = g.stack_roots().collect();
-        let mut marker = Marker::new();
-        for h in roots {
+/// Pushes the stack roots of `gid`, if it still exists, onto `marker`.
+fn push_stack(marker: &mut Marker, vm: &Vm, gid: Gid) {
+    if let Some(g) = vm.goroutine(gid) {
+        for h in g.stack_roots() {
             marker.push_root(h);
         }
-        marker.drain(vm.heap_mut());
-        stats.objects_marked += marker.marked;
-        stats.pointer_traversals += marker.traversals;
     }
 }
 

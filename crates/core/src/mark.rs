@@ -1,9 +1,10 @@
 //! The tricolor marker: worklist-based transitive marking over the heap.
 //!
-//! One sequential marker serves every marking pass of a cycle: the mark
-//! iterations of the GOLF fixed point, the single pass of the on-the-fly
-//! `Incremental` expansion (driven through [`Marker::step`]), and the
-//! re-marks of hinted-inert roots and preserved deadlocked subgraphs.
+//! A cycle constructs one marker and runs all of its marking on it: the
+//! mark iterations of the GOLF fixed point, each driven through
+//! [`Marker::step`] so root expansion can inspect every object as it is
+//! blackened, and the re-marks of preserved deadlocked subgraphs and
+//! hinted-inert roots before the sweep.
 
 use golf_heap::{Handle, Heap, Trace};
 
@@ -17,7 +18,6 @@ use golf_heap::{Handle, Heap, Trace};
 #[derive(Debug, Default)]
 pub struct Marker {
     work: Vec<Handle>,
-    newly_marked: Vec<Handle>,
     /// Objects blackened so far this cycle.
     pub marked: u64,
     /// Pointer traversals so far this cycle: edges followed out of objects
@@ -51,7 +51,6 @@ impl Marker {
                 continue; // already marked, masked, or stale
             }
             self.marked += 1;
-            self.newly_marked.push(h);
             if let Some(obj) = heap.get(h) {
                 obj.trace(&mut |child| {
                     self.traversals += 1;
@@ -71,12 +70,6 @@ impl Marker {
         let before = self.marked;
         while self.step(heap).is_some() {}
         self.marked - before
-    }
-
-    /// The handles blackened since the last call, in marking order — the
-    /// input to the §5.3 `FromMarked` root-expansion strategy.
-    pub fn take_newly_marked(&mut self) -> Vec<Handle> {
-        std::mem::take(&mut self.newly_marked)
     }
 }
 
@@ -142,7 +135,6 @@ mod tests {
         assert_eq!(m.step(&mut heap), Some(a));
         assert_eq!(m.step(&mut heap), None);
         assert_eq!((m.marked, m.traversals), (2, 1));
-        assert_eq!(m.take_newly_marked(), vec![b, a]);
     }
 
     #[test]

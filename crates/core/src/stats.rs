@@ -80,16 +80,11 @@ pub struct GcCycleStats {
     /// epoch, and every goroutine fingerprint unchanged since the previous
     /// side-effect-free cycle) and reused its outcome wholesale. All
     /// deterministic fields of a replayed cycle equal what a full cycle
-    /// would have computed; this flag and the two fields below are the only
-    /// mode-dependent ones (differential comparisons exclude them).
+    /// would have computed; this flag and the wall-clock `*_ns` timings are
+    /// the only mode-dependent ones (differential comparisons exclude them).
+    /// A replayed cycle reuses the whole mark bitmap, so its
+    /// `objects_marked` marks were carried over rather than recomputed.
     pub incremental_replayed: bool,
-    /// Marks carried over from the previous cycle's bitmap instead of being
-    /// recomputed (the whole live set on a replayed cycle, 0 otherwise).
-    pub marks_reused: u64,
-    /// Goroutines whose liveness verdict was validated by fingerprint
-    /// comparison instead of re-running the fixed point (every live
-    /// goroutine on a replayed cycle, 0 otherwise).
-    pub liveness_cache_hits: u64,
     /// Goroutines reported as deadlocked this cycle.
     pub deadlocks_detected: usize,
     /// Goroutines forcefully shut down this cycle.
@@ -174,10 +169,10 @@ impl std::fmt::Display for GcCycleStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "gc {} @{}ms: {} ms marking, {} iters, {} objs marked, {} checks, {} dl ({} reclaimed, {} preserved), {} objs/{} B swept, {} B live",
+            "gc {}: {:.3} ms pause, {:.3} ms marking, {} iters, {} objs marked, {} checks, {} dl ({} reclaimed, {} preserved), {} objs/{} B swept, {} B live",
             self.cycle,
-            self.pause_ns / 1_000_000,
-            self.mark_ns / 1_000_000,
+            self.pause_ns as f64 / 1e6,
+            self.mark_ns as f64 / 1e6,
             self.mark_iterations,
             self.objects_marked,
             self.liveness_checks,
@@ -203,10 +198,15 @@ mod tests {
             deadlocks_detected: 4,
             deadlocks_reclaimed: 4,
             swept_objects: 7,
+            pause_ns: 163_000,
+            mark_ns: 2_500_000,
             ..Default::default()
         };
         let line = c.to_string();
-        assert!(line.starts_with("gc 3 "));
+        assert!(line.starts_with("gc 3: "));
+        assert!(line.contains("0.163 ms pause"), "{line}");
+        assert!(line.contains("2.500 ms marking"), "{line}");
+        assert!(!line.contains('@'), "`@` is time since start in Go's gctrace: {line}");
         assert!(line.contains("2 iters"));
         assert!(line.contains("4 dl (4 reclaimed"));
         assert!(line.contains("7 objs"));

@@ -158,6 +158,12 @@ proptest! {
         prop_assert_eq!(sa.deadlocks_detected, sc.deadlocks_detected);
         prop_assert_eq!(sa.deadlocks_reclaimed, sc.deadlocks_reclaimed);
         prop_assert_eq!(sa.objects_marked, sc.objects_marked);
+        // One marking loop: FromMarked and Incremental test the waiters of
+        // every blackened object exactly once, and every strategy follows
+        // each edge of the same live graph exactly once.
+        prop_assert_eq!(sb.liveness_checks, sc.liveness_checks);
+        prop_assert_eq!(sa.pointer_traversals, sb.pointer_traversals);
+        prop_assert_eq!(sa.pointer_traversals, sc.pointer_traversals);
     }
 }
 

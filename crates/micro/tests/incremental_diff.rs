@@ -5,10 +5,9 @@
 //! trace, the same mode-invariant cycle statistics, the same final
 //! live-heap handle set, and the same modeled totals — across seeds.
 //!
-//! Only the explicitly mode-dependent fields (`incremental_replayed`,
-//! `marks_reused`, `liveness_cache_hits` and the wall-clock `*_ns`
-//! timings) may differ; everything else differing is a soundness bug in
-//! the replay path.
+//! Only the explicitly mode-dependent fields (`incremental_replayed` and
+//! the wall-clock `*_ns` timings) may differ; everything else differing is
+//! a soundness bug in the replay path.
 
 use golf_core::{DeadlockReport, GolfConfig, PhaseEvent, Session};
 use golf_micro::{corpus, instances_for, Source};
