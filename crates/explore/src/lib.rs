@@ -9,7 +9,7 @@
 //! *which* executions the oracle gets to see is the whole game. This crate
 //! drives the deterministic VM through many schedules on purpose:
 //!
-//! * [`Strategy`]/[`StrategyKind`] — seeded random walk, PCT-style
+//! * [`StrategyKind`] — seeded random walk, PCT-style
 //!   randomized priorities, and delay-bounded round-robin, all plugged in
 //!   through the runtime's [`SchedPolicy`](golf_runtime::SchedPolicy) hook;
 //! * [`Schedule`] — a compact decision-trace file that replays
@@ -20,7 +20,7 @@
 //!   the microbenchmark corpus and the service workload.
 //!
 //! ```
-//! use golf_explore::{record_run, replay_run, StrategyKind, Strategy, Target};
+//! use golf_explore::{record_run, replay_run, StrategyKind, Target};
 //!
 //! let corpus = golf_micro::corpus();
 //! let mb = corpus.iter().find(|m| m.name == "cgo/double-send").unwrap();
@@ -47,5 +47,5 @@ pub use policy::{DecisionLog, RecordingPolicy, ReplayPolicy};
 pub use runner::{expected_slots, record_run, replay_run, RunOutput};
 pub use schedule::{Decision, Schedule};
 pub use shrink::{shrink, ShrinkResult};
-pub use strategy::{FixedStrategy, Strategy, StrategyKind};
+pub use strategy::StrategyKind;
 pub use target::{targets, CorpusSelect, Target, DEFAULT_PROCS, DEFAULT_TICK_BUDGET};

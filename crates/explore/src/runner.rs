@@ -3,7 +3,7 @@
 
 use crate::policy::{RecordingPolicy, ReplayPolicy};
 use crate::schedule::Schedule;
-use crate::strategy::Strategy;
+use crate::strategy::StrategyKind;
 use crate::target::Target;
 use golf_core::{DeadlockReport, GcTotals, Session};
 use golf_runtime::{PanicPolicy, RunStatus, SchedPolicy, Vm, VmConfig};
@@ -80,7 +80,7 @@ fn execute(
 pub fn record_run(
     target: &Target,
     vm_seed: u64,
-    strategy: &dyn Strategy,
+    strategy: &StrategyKind,
     strategy_seed: u64,
     capture_trace: bool,
 ) -> RunOutput {
@@ -92,7 +92,7 @@ pub fn record_run(
     let decisions = std::mem::take(&mut *log.lock().expect("poisoned"));
     let schedule = Schedule {
         target: target.name.clone(),
-        strategy: strategy.name(),
+        strategy: strategy.to_string(),
         seed: vm_seed,
         procs: target.procs,
         tick_budget: target.tick_budget,

@@ -1,7 +1,7 @@
 //! Exploration strategies: how the next schedule is chosen.
 //!
-//! A [`Strategy`] is a factory: for each schedule attempt it builds a fresh
-//! [`SchedPolicy`] from a per-schedule seed, so the attempt is a pure
+//! A [`StrategyKind`] is a factory: for each schedule attempt it builds a
+//! fresh [`SchedPolicy`] from a per-schedule seed, so the attempt is a pure
 //! function of `(root seed, target, schedule index)` and campaigns are
 //! reproducible run-to-run and across worker-thread counts.
 //!
@@ -17,25 +17,14 @@
 //!   number of delay points, where it skips to the second candidate.
 //!   Systematically covers "one untimely preemption" bugs.
 
-use crate::schedule::Decision;
 use golf_runtime::{Gid, SchedPolicy};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use std::collections::HashMap;
 use std::str::FromStr;
 
-/// A schedule-exploration strategy: names itself and mints one scheduling
-/// policy per schedule attempt.
-pub trait Strategy: Send + Sync {
-    /// Stable label used in schedule files and campaign logs.
-    fn name(&self) -> String;
-
-    /// Builds the policy for one schedule attempt. `expected_slots` is an
-    /// upper estimate of scheduling slots in the run (ticks × procs), used
-    /// by strategies that spread change/delay points over the execution.
-    fn policy(&self, seed: u64, expected_slots: u64, max_quantum: u32) -> Box<dyn SchedPolicy>;
-}
-
-/// The built-in strategies, parseable from `--strategy` syntax.
+/// The schedule-exploration strategies, parseable from `--strategy`
+/// syntax. `Display` gives the stable label used in schedule files and
+/// campaign logs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StrategyKind {
     /// Seeded uniform random walk over picks and quanta.
@@ -88,12 +77,11 @@ impl std::fmt::Display for StrategyKind {
     }
 }
 
-impl Strategy for StrategyKind {
-    fn name(&self) -> String {
-        self.to_string()
-    }
-
-    fn policy(&self, seed: u64, expected_slots: u64, max_quantum: u32) -> Box<dyn SchedPolicy> {
+impl StrategyKind {
+    /// Builds the policy for one schedule attempt. `expected_slots` is an
+    /// upper estimate of scheduling slots in the run (ticks × procs), used
+    /// by strategies that spread change/delay points over the execution.
+    pub fn policy(&self, seed: u64, expected_slots: u64, max_quantum: u32) -> Box<dyn SchedPolicy> {
         let rng = SmallRng::seed_from_u64(seed);
         match *self {
             StrategyKind::Random => Box::new(RandomWalk { rng }),
@@ -223,23 +211,6 @@ impl SchedPolicy for DelayBounded {
         } else {
             self.max_quantum
         }
-    }
-}
-
-/// A fixed decision sequence exposed as a strategy — used in tests to pin
-/// hand-written schedules.
-pub struct FixedStrategy {
-    /// The decisions every minted policy replays.
-    pub decisions: Vec<Decision>,
-}
-
-impl Strategy for FixedStrategy {
-    fn name(&self) -> String {
-        "fixed".into()
-    }
-
-    fn policy(&self, _seed: u64, _expected_slots: u64, _max_quantum: u32) -> Box<dyn SchedPolicy> {
-        Box::new(crate::ReplayPolicy::new(self.decisions.clone()))
     }
 }
 

@@ -196,8 +196,6 @@ pub struct Goroutine {
     /// The `go` statement that created this goroutine (for reports and
     /// deduplication, paper §6.1 RQ1(b)).
     pub spawn_site: Option<SiteId>,
-    /// Tick at which a sleeping goroutine should wake.
-    pub wake_tick: Option<u64>,
     /// Set when a `sync.Cond.Wait` wake must re-acquire the mutex before the
     /// goroutine resumes.
     pub pending_lock: Option<Handle>,
@@ -225,7 +223,6 @@ impl Goroutine {
             blocked: Blocked::None,
             wait_token: 0,
             spawn_site: None,
-            wake_tick: None,
             pending_lock: None,
             dirty_select_state: false,
             reuse_count: 0,

@@ -1,12 +1,13 @@
 //! The instruction interpreter: fetch/decode/execute for one goroutine step.
 
-use crate::goroutine::{Blocked, Gid, WaitReason};
+use crate::goroutine::{Gid, WaitReason};
 use crate::instr::{BinOp, Instr};
 use crate::object::Object;
 use crate::value::Value;
-use crate::vm::{go_id, Exec, Finalizer, Vm};
+use crate::vm::{go_id, Alarm, Exec, Finalizer, Vm};
 use golf_trace::TraceEvent;
 use rand::Rng;
+use std::cmp::Reverse;
 
 impl Vm {
     /// Executes one instruction of `gid`. The pc is advanced *before*
@@ -118,22 +119,10 @@ impl Vm {
                 self.finish_goroutine(gid);
                 Exec::Finished
             }
-            Instr::Sleep(ticks) => {
-                let wake = self.tick + ticks.max(1);
-                self.park(gid, WaitReason::Sleep, Blocked::None);
-                if let Some(g) = self.g_mut(gid) {
-                    g.wake_tick = Some(wake);
-                }
-                Exec::Parked
-            }
+            Instr::Sleep(ticks) => self.sleep_until(gid, self.tick + ticks.max(1)),
             Instr::SleepVar(v) => {
                 let ticks = self.read_var(gid, v).as_int().unwrap_or(1).max(1) as u64;
-                let wake = self.tick + ticks;
-                self.park(gid, WaitReason::Sleep, Blocked::None);
-                if let Some(g) = self.g_mut(gid) {
-                    g.wake_tick = Some(wake);
-                }
-                Exec::Parked
+                self.sleep_until(gid, self.tick + ticks)
             }
 
             Instr::NewStruct { ty, fields, dst } => {
@@ -363,12 +352,7 @@ impl Vm {
                         let stall =
                             (bytes.saturating_mul(heap_bytes) / assist.scale.max(1)).min(200);
                         if stall > 0 {
-                            let wake = self.tick + stall;
-                            self.park(gid, WaitReason::Sleep, Blocked::None);
-                            if let Some(g) = self.g_mut(gid) {
-                                g.wake_tick = Some(wake);
-                            }
-                            return Exec::Parked;
+                            return self.sleep_until(gid, self.tick + stall);
                         }
                     }
                 }
@@ -396,7 +380,9 @@ impl Vm {
             }
             Instr::MakeTimerChan { dst, after } => {
                 let h = self.heap.alloc(Object::chan(1));
-                self.timers.push(crate::vm::Timer { fire_tick: self.tick + after.max(1), ch: h });
+                let fire = Alarm::Fire { seq: self.timer_seq, ch: h };
+                self.timer_seq += 1;
+                self.alarms.push(Reverse((self.tick + after.max(1), fire)));
                 self.roots_epoch += 1;
                 self.write_var(gid, dst, Value::Ref(h));
                 Exec::Continue

@@ -1,10 +1,11 @@
 //! The cooperative scheduler: `GOMAXPROCS` virtual cores, randomized
 //! quanta, timers and sleep handling, and global-deadlock detection.
 
-use crate::goroutine::{GStatus, Gid, WaitReason};
-use crate::vm::{go_id, Exec, RunOutcome, RunStatus, TickStatus, Vm};
+use crate::goroutine::{GStatus, Gid};
+use crate::vm::{go_id, Alarm, Exec, RunOutcome, RunStatus, TickStatus, Vm};
 use golf_trace::TraceEvent;
 use rand::Rng;
+use std::collections::binary_heap::PeekMut;
 
 /// A pluggable scheduling policy: who runs next, and for how long.
 ///
@@ -104,38 +105,27 @@ impl Vm {
         }
         self.tick += 1;
 
-        // Fire due timers (the runtime drops its channel reference here).
-        let mut due = Vec::new();
-        self.timers.retain(|t| {
-            if t.fire_tick <= self.tick {
-                due.push(t.ch);
-                false
-            } else {
-                true
+        // Run the due alarms in `Alarm` order — timers by creation, then
+        // sleepers by slot — not in deadline order: `advance_ticks` can make
+        // several deadlines fall due in one tick.
+        while let Some(top) = self.alarms.peek_mut() {
+            if top.0 .0 > self.tick {
+                break;
             }
-        });
-        if !due.is_empty() {
+            self.due.push(PeekMut::pop(top).0 .1);
+        }
+        self.due.sort_unstable();
+        if let Some(Alarm::Fire { .. }) = self.due.first() {
             // The fired timers' channels just left the runtime root set.
             self.roots_epoch += 1;
         }
-        for ch in due {
-            self.timer_fire(ch);
+        for i in 0..self.due.len() {
+            match self.due[i] {
+                Alarm::Fire { ch, .. } => self.timer_fire(ch),
+                Alarm::Wake { gid, token } => _ = self.wake(gid, token),
+            }
         }
-
-        // Wake due sleepers.
-        let now = self.tick;
-        let to_wake: Vec<(Gid, u64)> = self
-            .goroutines
-            .iter()
-            .filter(|g| {
-                g.status == GStatus::Waiting(WaitReason::Sleep)
-                    && g.wake_tick.is_some_and(|t| t <= now)
-            })
-            .map(|g| (g.id, g.wait_token))
-            .collect();
-        for (gid, token) in to_wake {
-            self.wake(gid, token);
-        }
+        self.due.clear();
 
         // Schedule up to P goroutines.
         let p = self.config.gomaxprocs.max(1);
@@ -187,13 +177,9 @@ impl Vm {
         if self.main_done {
             return TickStatus::MainDone;
         }
-        if scheduled == 0 {
-            let time_can_pass = !self.timers.is_empty()
-                || self.goroutines.iter().any(|g| g.status == GStatus::Waiting(WaitReason::Sleep));
-            if !time_can_pass {
-                // fatal error: all goroutines are asleep - deadlock!
-                return TickStatus::GlobalDeadlock;
-            }
+        if scheduled == 0 && self.alarms.is_empty() {
+            // fatal error: all goroutines are asleep - deadlock!
+            return TickStatus::GlobalDeadlock;
         }
         TickStatus::Progress
     }

@@ -11,7 +11,8 @@ use golf_trace::{BufferSink, GoId, TraceEvent, Tracer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 /// Converts a runtime [`Gid`] into the trace crate's [`GoId`].
@@ -151,12 +152,16 @@ pub struct VmCounters {
     pub forced_shutdowns: u64,
 }
 
-/// A pending runtime timer (`time.After`): the runtime keeps the channel
-/// alive until the timer fires, then releases it.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Timer {
-    pub fire_tick: u64,
-    pub ch: Handle,
+/// What the runtime does when a deadline falls due. The derived order —
+/// timers by creation, then sleepers by slot ([`Gid`] orders by slot
+/// first) — is the order in which one tick runs its due alarms.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Alarm {
+    /// A `time.After` timer fires: the runtime sends on `ch` and releases
+    /// the channel, which it kept alive until now.
+    Fire { seq: u64, ch: Handle },
+    /// A `time.Sleep` ends: wake `gid` if `token` is still current.
+    Wake { gid: Gid, token: u64 },
 }
 
 pub(crate) enum Exec {
@@ -204,7 +209,12 @@ pub struct Vm {
     pub(crate) treap: SemaTreap,
     pub(crate) run_queue: VecDeque<Gid>,
     pub(crate) queued: Vec<bool>,
-    pub(crate) timers: Vec<Timer>,
+    /// Pending timers and sleepers, keyed by the tick they fall due.
+    pub(crate) alarms: BinaryHeap<Reverse<(u64, Alarm)>>,
+    /// Creation counter of `time.After` timers ([`Alarm::Fire`]'s `seq`).
+    pub(crate) timer_seq: u64,
+    /// The alarms due this tick; kept across ticks to reuse its buffer.
+    pub(crate) due: Vec<Alarm>,
     pub(crate) rng: StdRng,
     pub(crate) config: VmConfig,
     pub(crate) tick: u64,
@@ -248,7 +258,9 @@ impl Vm {
             treap: SemaTreap::new(config.seed ^ 0x5E3A_7EAF),
             run_queue: VecDeque::new(),
             queued: Vec::new(),
-            timers: Vec::new(),
+            alarms: BinaryHeap::new(),
+            timer_seq: 0,
+            due: Vec::new(),
             rng: StdRng::seed_from_u64(config.seed),
             config,
             tick: 0,
@@ -502,6 +514,14 @@ impl Vm {
         token
     }
 
+    /// Parks `gid` in `time.Sleep` (or an allocation-assist stall) until
+    /// tick `at`.
+    pub(crate) fn sleep_until(&mut self, gid: Gid, at: u64) -> Exec {
+        let token = self.park(gid, WaitReason::Sleep, Blocked::None);
+        self.alarms.push(Reverse((at, Alarm::Wake { gid, token })));
+        Exec::Parked
+    }
+
     /// Wakes a parked goroutine if `token` is still current. Returns whether
     /// the wake happened (stale tokens mean the goroutine was already woken
     /// through another channel of a select, or killed).
@@ -512,7 +532,6 @@ impl Vm {
         }
         g.wait_token += 1; // Invalidate all other queue entries.
         g.blocked = Blocked::None;
-        g.wake_tick = None;
         self.counters.wakes += 1;
         self.ready(gid);
         if self.tracer.enabled() {
@@ -616,7 +635,10 @@ impl Vm {
     pub fn runtime_root_handles(&self) -> Vec<Handle> {
         let mut roots: Vec<Handle> =
             self.globals.iter().filter_map(|v| v.as_ref_handle()).collect();
-        roots.extend(self.timers.iter().map(|t| t.ch));
+        roots.extend(self.alarms.iter().filter_map(|Reverse((_, alarm))| match *alarm {
+            Alarm::Fire { ch, .. } => Some(ch),
+            Alarm::Wake { .. } => None,
+        }));
         roots
     }
 

@@ -162,6 +162,75 @@ fn advance_ticks_jumps_simulated_time() {
     assert_eq!(vm.run(100).status, RunStatus::MainDone, "sleeper woken by the jump");
     let Value::Int(t) = vm.global(out) else { panic!() };
     assert!(t >= 1_000);
+
+    // A jump that makes several deadlines due in one tick keeps the order
+    // of a tick-by-tick run: timers fire in creation order, then sleepers
+    // wake in slot order — not in deadline order. Each woken goroutine
+    // logs its id; a FIFO policy runs them in wake order.
+    let mut p = ProgramSet::new();
+    let out = p.global("out");
+    let site = p.site("main:go");
+    let mut b = FuncBuilder::new("sleeper", 3);
+    b.sleep_var(b.param(0));
+    b.send(b.param(1), b.param(2));
+    b.ret(None);
+    let sleeper = p.define(b);
+    let mut b = FuncBuilder::new("waiter", 3);
+    b.recv(b.param(0), None);
+    b.send(b.param(1), b.param(2));
+    b.ret(None);
+    let waiter = p.define(b);
+    let mut b = FuncBuilder::new("main", 0);
+    let log = b.var("log");
+    b.make_chan(log, 8);
+    // Sleepers in slots 1..=3, deadlines out of slot order.
+    for (id, ticks) in [(1, 300), (2, 100), (3, 200)] {
+        let (d, id) = (b.int(ticks), b.int(id));
+        b.go(sleeper, &[d, log, id], site);
+    }
+    // Timer 7 is created first but fires after timer 8.
+    for (id, after) in [(7, 400), (8, 150)] {
+        let (t, id) = (b.var("t"), b.int(id));
+        b.timer_chan(t, after);
+        b.go(waiter, &[t, log, id], site);
+    }
+    let (acc, got, ten) = (b.int(0), b.var("got"), b.int(10));
+    for _ in 0..5 {
+        b.recv(log, Some(got));
+        b.bin(golf_runtime::BinOp::Mul, acc, acc, ten);
+        b.bin(golf_runtime::BinOp::Add, acc, acc, got);
+    }
+    b.set_global(out, acc);
+    b.ret(None);
+    p.define(b);
+
+    struct Fifo;
+    impl golf_runtime::SchedPolicy for Fifo {
+        fn pick(&mut self, _tick: u64, _candidates: &[golf_runtime::Gid]) -> usize {
+            0
+        }
+    }
+    let mut vm = Vm::boot(p, VmConfig::default());
+    vm.set_sched_policy(Some(Box::new(Fifo)));
+    // Main is blocked and only sleepers and timers are pending: time can
+    // still pass, so this is not a global deadlock.
+    assert_eq!(vm.run(20).status, RunStatus::TickLimit);
+    assert!(vm.goroutine(vm.main_gid()).unwrap().status.is_waiting());
+    vm.advance_ticks(1_000);
+    assert_eq!(vm.run(100).status, RunStatus::MainDone);
+    assert_eq!(vm.global(out), Value::Int(78_123), "timers 7, 8, then sleepers 1, 2, 3");
+
+    // Main blocked on a timer alone is not a global deadlock either.
+    let mut p = ProgramSet::new();
+    let mut b = FuncBuilder::new("main", 0);
+    let t = b.var("t");
+    b.timer_chan(t, 50);
+    b.recv(t, None);
+    b.ret(None);
+    p.define(b);
+    let mut vm = Vm::boot(p, VmConfig::default());
+    assert_eq!(vm.run(20).status, RunStatus::TickLimit);
+    assert_eq!(vm.run(100).status, RunStatus::MainDone);
 }
 
 #[test]
