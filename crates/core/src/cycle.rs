@@ -18,12 +18,14 @@ fn go_id(gid: Gid) -> GoId {
     GoId::new(gid.index(), gid.generation())
 }
 
-/// A set of goroutines keyed by slot index: one bit per slot.
+/// A set of goroutines or heap objects keyed by slot index: one bit per
+/// slot.
 ///
-/// Exact only while no goroutine is spawned, because then a slot names one
-/// goroutine. That holds inside [`GcEngine::collect`] up to the sweep:
-/// finalizer goroutines spawn after it, and a slot freed by
-/// [`Vm::force_shutdown`] is reused only by a spawn.
+/// Exact only while no slot is reused, because then a slot names one
+/// goroutine or object. That holds inside [`GcEngine::collect`] up to the
+/// sweep: finalizer goroutines spawn after it, a slot freed by
+/// [`Vm::force_shutdown`] is reused only by a spawn, and the collector
+/// allocates no heap object.
 #[derive(Debug, Default)]
 struct SlotSet(Vec<u64>);
 
@@ -32,16 +34,19 @@ impl SlotSet {
         self.0.clear();
     }
 
-    fn insert(&mut self, gid: Gid) {
-        let i = gid.index() as usize;
+    /// Adds slot `i`, returning `true` exactly when it was not in the set.
+    fn insert(&mut self, i: u32) -> bool {
+        let i = i as usize;
         if i / 64 >= self.0.len() {
             self.0.resize(i / 64 + 1, 0);
         }
+        let fresh = self.0[i / 64] & (1 << (i % 64)) == 0;
         self.0[i / 64] |= 1 << (i % 64);
+        fresh
     }
 
-    fn contains(&self, gid: Gid) -> bool {
-        let i = gid.index() as usize;
+    fn contains(&self, i: u32) -> bool {
+        let i = i as usize;
         self.0.get(i / 64).is_some_and(|w| w & (1 << (i % 64)) != 0)
     }
 }
@@ -57,6 +62,9 @@ struct CycleScratch {
     /// Hinted-inert goroutines, whose stacks are marked only before the sweep.
     inert_gids: Vec<Gid>,
     added: Vec<Gid>,
+    /// Unmarked objects the reclaim loop's finalizer checks have visited.
+    finalizer_seen: SlotSet,
+    finalizer_work: Vec<golf_heap::Handle>,
 }
 
 impl CycleScratch {
@@ -66,6 +74,7 @@ impl CycleScratch {
         self.in_roots.clear();
         self.inert_gids.clear();
         self.added.clear();
+        self.finalizer_seen.clear();
     }
 }
 
@@ -371,7 +380,7 @@ impl GcEngine {
             if detection && spawn_site_is_inert(vm, &scratch.inert_sites, g) {
                 // In the root set without its stack: never expanded or
                 // reported, and its stack is marked only before the sweep.
-                scratch.in_roots.insert(g.id);
+                scratch.in_roots.insert(g.id.index());
                 scratch.inert_gids.push(g.id);
                 continue;
             }
@@ -380,7 +389,7 @@ impl GcEngine {
                 for h in g.stack_roots() {
                     marker.push_root(h);
                 }
-                scratch.in_roots.insert(g.id);
+                scratch.in_roots.insert(g.id.index());
                 goroutine_roots += 1;
             }
         }
@@ -412,12 +421,12 @@ impl GcEngine {
                     stats.liveness_checks += 1;
                     // Joining the root set at once dedups a goroutine
                     // waiting on several marked objects.
-                    if scratch.in_roots.contains(gid)
+                    if scratch.in_roots.contains(gid.index())
                         || !vm.goroutine(gid).is_some_and(|g| g.deadlock_candidate())
                     {
                         continue;
                     }
-                    scratch.in_roots.insert(gid);
+                    scratch.in_roots.insert(gid.index());
                     if strategy == ExpansionStrategy::Incremental {
                         push_stack(&mut marker, vm, gid);
                     } else {
@@ -431,7 +440,7 @@ impl GcEngine {
             });
             if detection && strategy == ExpansionStrategy::Rescan {
                 for g in vm.live_goroutines() {
-                    if scratch.in_roots.contains(g.id) || !g.deadlock_candidate() {
+                    if scratch.in_roots.contains(g.id.index()) || !g.deadlock_candidate() {
                         continue;
                     }
                     let mut live = false;
@@ -448,7 +457,7 @@ impl GcEngine {
                         }
                     }
                     if live {
-                        scratch.in_roots.insert(g.id);
+                        scratch.in_roots.insert(g.id.index());
                         scratch.added.push(g.id);
                     }
                 }
@@ -480,7 +489,7 @@ impl GcEngine {
                 vm.trace_emit(TraceEvent::GcPhaseBegin { cycle: cycle_no, phase: "detect" });
             }
             let is_deadlocked =
-                |g: &Goroutine| g.deadlock_candidate() && !scratch.in_roots.contains(g.id);
+                |g: &Goroutine| g.deadlock_candidate() && !scratch.in_roots.contains(g.id.index());
             let deadlocked: Vec<Gid> =
                 vm.live_goroutines().filter(|g| is_deadlocked(g)).map(|g| g.id).collect();
 
@@ -534,7 +543,12 @@ impl GcEngine {
                     // forever so Go's observable semantics are preserved.
                     // Its subgraph is marked at once, before the next
                     // goroutine's finalizer check looks for unmarked objects.
-                    if self.subgraph_has_finalizer(vm, gid) {
+                    if subgraph_has_finalizer(
+                        vm,
+                        gid,
+                        &mut scratch.finalizer_seen,
+                        &mut scratch.finalizer_work,
+                    ) {
                         vm.set_deadlocked(gid);
                         push_stack(&mut marker, vm, gid);
                         marker.drain(vm.heap_mut());
@@ -660,29 +674,43 @@ impl GcEngine {
             wait_for: None,
         }
     }
+}
 
-    /// BFS over the *unmarked* subgraph reachable from `gid`'s stack,
-    /// checking for finalizers (paper §5.5). Marked objects are reachable
-    /// from live goroutines and their finalizers behave normally.
-    fn subgraph_has_finalizer(&self, vm: &Vm, gid: Gid) -> bool {
-        let Some(g) = vm.goroutine(gid) else { return false };
-        let heap = vm.heap();
-        let mut work: Vec<_> = g.stack_roots().collect();
-        let mut seen: HashSet<golf_heap::Handle> = HashSet::new();
-        while let Some(h) = work.pop() {
-            if h.is_masked() || heap.is_marked(h) || !seen.insert(h) {
-                continue;
-            }
-            if heap.has_finalizer(h) {
-                return true;
-            }
-            if let Some(obj) = heap.get(h) {
-                use golf_heap::Trace;
-                obj.trace(&mut |child| work.push(child));
-            }
+/// Walks the *unmarked* subgraph reachable from `gid`'s stack, checking for
+/// finalizers (paper §5.5). Marked objects are reachable from live goroutines
+/// and their finalizers behave normally.
+///
+/// `seen` is shared by every check of one reclaim loop, so an object is
+/// walked at most once per cycle. Skipping a seen object is exact: if the
+/// walk that saw it found no finalizer, its whole unmarked subgraph is
+/// finalizer-free (a forced shutdown only removes edges); if that walk found
+/// one, the caller has marked everything the walk saw.
+fn subgraph_has_finalizer(
+    vm: &Vm,
+    gid: Gid,
+    seen: &mut SlotSet,
+    work: &mut Vec<golf_heap::Handle>,
+) -> bool {
+    use golf_heap::Trace;
+    let Some(g) = vm.goroutine(gid) else { return false };
+    let heap = vm.heap();
+    work.clear();
+    work.extend(g.stack_roots());
+    while let Some(h) = work.pop() {
+        if h.is_masked() || heap.is_marked(h) {
+            continue;
         }
-        false
+        // A stale handle resolves to nothing and must not claim its slot.
+        let Some(obj) = heap.get(h) else { continue };
+        if !seen.insert(h.index()) {
+            continue;
+        }
+        if heap.has_finalizer(h) {
+            return true;
+        }
+        obj.trace(&mut |child| work.push(child));
     }
+    false
 }
 
 /// Pushes the stack roots of `gid`, if it still exists, onto `marker`.

@@ -273,6 +273,100 @@ fn finalizer_free_goroutines_are_reclaimed_and_finalizers_run_for_ordinary_garba
     assert_eq!(s.vm().heap().len(), 0, "object reclaimed after finalizer");
 }
 
+/// A program whose two goroutines both block forever on one dropped channel
+/// and share the slice `shared` (with a finalizer when `shared_finalized`).
+/// `first_finalized`/`second_finalized` give the goroutine spawned
+/// first/second a private slice with a finalizer too. Returns the program
+/// and the spawn sites of the two goroutines.
+fn shared_subgraph(
+    shared_finalized: bool,
+    first_finalized: bool,
+    second_finalized: bool,
+) -> (ProgramSet, [golf_runtime::SiteId; 2], golf_runtime::GlobalId) {
+    let mut p = ProgramSet::new();
+    let ran = p.global("finalizer_ran");
+    let sites = [p.site("main:first"), p.site("main:second")];
+
+    let mut b = FuncBuilder::new("finalizer", 1);
+    let one = b.int(1);
+    b.set_global(ran, one);
+    b.ret(None);
+    let finalizer = p.define(b);
+
+    // worker(ch, shared): [own := []; SetFinalizer(own, finalizer)]; <-ch
+    let mut workers = Vec::new();
+    for (name, finalized) in [("plain", false), ("guarded", true)] {
+        let mut b = FuncBuilder::new(name, 2);
+        let ch = b.param(0);
+        if finalized {
+            let own = b.var("own");
+            b.new_slice(own);
+            b.set_finalizer(own, finalizer);
+        }
+        b.recv(ch, None);
+        b.ret(None);
+        workers.push(p.define(b));
+    }
+
+    let mut b = FuncBuilder::new("main", 0);
+    let ch = b.var("ch");
+    let shared = b.var("shared");
+    b.make_chan(ch, 0);
+    b.new_slice(shared);
+    if shared_finalized {
+        b.set_finalizer(shared, finalizer);
+    }
+    b.go(workers[usize::from(first_finalized)], &[ch, shared], sites[0]);
+    b.go(workers[usize::from(second_finalized)], &[ch, shared], sites[1]);
+    b.clear(ch);
+    b.clear(shared);
+    b.sleep(20);
+    b.gc();
+    b.ret(None);
+    p.define(b);
+    (p, sites, ran)
+}
+
+/// Runs `p` under GOLF and returns the spawn site of the one goroutine kept
+/// for its finalizers, after checking that both goroutines were reported,
+/// the other was reclaimed, no finalizer ran, and the kept goroutine's stack
+/// still resolves.
+fn preserved_site(p: ProgramSet, ran: golf_runtime::GlobalId) -> golf_runtime::SiteId {
+    let mut s = golf_session(p);
+    assert_eq!(s.run(100_000).status, RunStatus::MainDone);
+    assert_eq!(s.reports().len(), 2);
+    assert_eq!(s.vm().counters().forced_shutdowns, 1);
+    assert_eq!(s.vm().global(ran), Value::Nil, "finalizer must not run");
+    let preserved = golf_core::preserved_goroutines(s.vm());
+    assert_eq!(preserved.len(), 1);
+    let g = s.vm().goroutine(preserved[0]).unwrap();
+    assert!(g.stack_roots().all(|h| s.vm().heap().contains(h)), "kept memory was swept");
+    s.vm().heap().validate().unwrap();
+    g.spawn_site.unwrap()
+}
+
+/// The finalizer check walks the unmarked subgraph, and a preserved
+/// goroutine's subgraph is marked before the next check: of two deadlocked
+/// goroutines sharing one finalized slice, the first in slot order is
+/// preserved, and the second, whose only finalizer is then marked, is
+/// reclaimed.
+#[test]
+fn shared_finalizer_preserves_only_the_first_goroutine_in_slot_order() {
+    let (p, sites, ran) = shared_subgraph(true, false, false);
+    assert_eq!(preserved_site(p, ran), sites[0]);
+}
+
+/// A finalizer-free goroutine sharing objects with a preserved one is
+/// reclaimed, in either slot order, and the shared objects survive with the
+/// preserved goroutine.
+#[test]
+fn finalizer_free_goroutine_sharing_with_a_preserved_one_is_reclaimed() {
+    let (p, sites, ran) = shared_subgraph(false, false, true);
+    assert_eq!(preserved_site(p, ran), sites[1]);
+    let (p, sites, ran) = shared_subgraph(false, true, false);
+    assert_eq!(preserved_site(p, ran), sites[0]);
+}
+
 /// The paper's §5.2 daisy chain: g1 blocked on ch1 held by g2, blocked on
 /// ch2 held by g3, … — discovering liveness takes one mark iteration per
 /// link, but total marking work stays proportional to the heap.

@@ -7,7 +7,9 @@
 //! long, and assert that no reported goroutine ever runs again.
 
 use golf_core::{GcEngine, Session};
-use golf_runtime::{FuncBuilder, Gid, PanicPolicy, ProgramSet, TickStatus, Vm, VmConfig};
+use golf_runtime::{
+    FuncBuilder, Gid, GlobalId, Object, PanicPolicy, ProgramSet, TickStatus, Value, Vm, VmConfig,
+};
 use proptest::prelude::*;
 
 /// One random action in a generated goroutine body.
@@ -147,6 +149,76 @@ fn emit_main_op(
     }
 }
 
+/// One write to the slice under test: append or overwrite (at an index
+/// taken mod the length) an `Int` or a `Ref` to a fresh channel.
+#[derive(Debug, Clone, Copy)]
+enum SliceOp {
+    Push { is_ref: bool },
+    Set { idx: u8, is_ref: bool },
+}
+
+fn slice_op_strategy() -> impl Strategy<Value = SliceOp> {
+    prop_oneof![
+        any::<bool>().prop_map(|is_ref| SliceOp::Push { is_ref }),
+        (any::<u8>(), any::<bool>()).prop_map(|(idx, is_ref)| SliceOp::Set { idx, is_ref }),
+    ]
+}
+
+/// `main` builds a slice held only by the global it returns, applies `ops`
+/// one per tick, then overwrites every `Ref` left in it with an `Int`. A
+/// channel stored in the slice is dropped from `main`'s stack at once, so
+/// the slice is its only referrer.
+fn slice_program(ops: &[SliceOp]) -> (ProgramSet, GlobalId) {
+    // Simulate the slice to resolve indices: each write is (index, is_ref),
+    // with no index for an append.
+    let mut is_ref: Vec<bool> = Vec::new();
+    let mut writes = Vec::new();
+    for &op in ops {
+        match op {
+            SliceOp::Push { is_ref: r } => {
+                writes.push((None, r));
+                is_ref.push(r);
+            }
+            SliceOp::Set { .. } if is_ref.is_empty() => {}
+            SliceOp::Set { idx, is_ref: r } => {
+                let i = usize::from(idx) % is_ref.len();
+                writes.push((Some(i), r));
+                is_ref[i] = r;
+            }
+        }
+    }
+    writes.extend(is_ref.iter().enumerate().filter(|(_, &r)| r).map(|(i, _)| (Some(i), false)));
+
+    let mut p = ProgramSet::new();
+    let out = p.global("out");
+    let mut b = FuncBuilder::new("main", 0);
+    let s = b.var("s");
+    let v = b.var("v");
+    b.new_slice(s);
+    b.set_global(out, s);
+    b.sleep(1);
+    for (idx, r) in writes {
+        if r {
+            b.make_chan(v, 0);
+        } else {
+            let k = b.int(7);
+            b.copy(v, k);
+        }
+        match idx {
+            None => b.slice_push(s, v),
+            Some(i) => {
+                let iv = b.int(i as i64);
+                b.slice_set(s, iv, v);
+            }
+        }
+        b.clear(v);
+        b.sleep(1);
+    }
+    b.ret(None);
+    p.define(b);
+    (p, out)
+}
+
 fn vm_config(seed: u64) -> VmConfig {
     VmConfig {
         seed,
@@ -265,5 +337,41 @@ proptest! {
         prop_assert_eq!(gc.reports().len(), first_reports, "no duplicate reports");
         prop_assert_eq!(second.swept_objects, 0, "second sweep finds nothing");
         prop_assert_eq!(second.deadlocks_reclaimed, 0);
+    }
+
+    /// Noscan slices stay sound: after every write the slice's ref count
+    /// equals a recount, a collection after every write keeps each object
+    /// the slice refers to (the slice was pointer-free when the first one was
+    /// stored), and once the last `Ref` is overwritten the slice is noscan
+    /// again and traces nothing.
+    #[test]
+    fn noscan_slices_keep_what_they_reference(
+        ops in proptest::collection::vec(slice_op_strategy(), 1..24),
+    ) {
+        use golf_heap::Trace;
+        let (p, out) = slice_program(&ops);
+        let mut session = Session::golf(Vm::boot(p, VmConfig::default()));
+        loop {
+            let status = session.step();
+            session.collect();
+            let vm = session.vm();
+            let Value::Ref(h) = vm.global(out) else {
+                prop_assert!(matches!(status, TickStatus::Progress));
+                continue;
+            };
+            let Some(Object::Slice(vs)) = vm.heap().get(h) else { panic!("out is not a slice") };
+            let refs: Vec<_> = vs.iter().filter_map(|v| v.as_ref_handle()).collect();
+            prop_assert_eq!(vs.refs(), refs.len());
+            for r in refs {
+                prop_assert!(vm.heap().contains(r), "an object held by the slice was swept");
+            }
+            if !matches!(status, TickStatus::Progress) {
+                prop_assert_eq!(vs.refs(), 0);
+                let mut traced = 0;
+                vm.heap().get(h).unwrap().trace(&mut |_| traced += 1);
+                prop_assert_eq!(traced, 0);
+                break;
+            }
+        }
     }
 }

@@ -1,11 +1,14 @@
-//! The heap's mark bitmap: one bit per slot, held outside the slot table.
+//! The heap's slot bitmaps: one bit per slot, held outside the slot table.
 //!
 //! Keeping mark state in a dense `u64` bitmap (rather than as a `bool`
 //! inside each slot) makes `clear_marks` at cycle start a word-wise zeroing
 //! pass instead of a walk over every slot, and makes the marked-object count
-//! a popcount instead of a slot scan.
+//! a popcount instead of a slot scan. The heap keeps a second bitmap of the
+//! same type for its allocated slots, so the sweep reads `allocated & !marked`
+//! a word at a time.
 
-/// A growable bitmap of mark bits, indexed by slot index.
+/// A growable bitmap indexed by slot index: the heap's mark bits, and its
+/// allocated bits.
 #[derive(Debug, Clone, Default)]
 pub struct MarkBits {
     words: Vec<u64>,
@@ -49,6 +52,16 @@ impl MarkBits {
     /// range).
     pub fn is_set(&self, index: usize) -> bool {
         self.words.get(index >> 6).is_some_and(|w| w & (1u64 << (index & 63)) != 0)
+    }
+
+    /// The 64 bits for slots `64 * word ..`, zero beyond the covered range.
+    pub(crate) fn word(&self, word: usize) -> u64 {
+        self.words.get(word).copied().unwrap_or(0)
+    }
+
+    /// Number of words the bitmap covers.
+    pub(crate) fn word_count(&self) -> usize {
+        self.words.len()
     }
 
     /// Zeroes every bit.
@@ -96,5 +109,16 @@ mod tests {
         m.clear_all();
         assert_eq!(m.set_count(), 0);
         assert!(!m.is_set(700));
+    }
+
+    #[test]
+    fn words_expose_the_bits() {
+        let mut m = MarkBits::new();
+        m.try_set(1);
+        m.try_set(65);
+        assert_eq!(m.word_count(), 2);
+        assert_eq!(m.word(0), 0b10);
+        assert_eq!(m.word(1), 0b10);
+        assert_eq!(m.word(5), 0, "beyond covered range reads as zero");
     }
 }

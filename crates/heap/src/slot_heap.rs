@@ -4,6 +4,9 @@ use crate::marks::MarkBits;
 use crate::{Handle, HeapStats, Trace};
 
 struct Slot<O, F> {
+    /// The object. A swept slot keeps its dead object until [`Heap::alloc`]
+    /// reuses the slot, so `Some` does not mean live: the `allocated` bitmap
+    /// and the generation say that.
     obj: Option<O>,
     generation: u32,
     bytes: u64,
@@ -20,7 +23,10 @@ struct Slot<O, F> {
 /// recycled object.
 ///
 /// Mark state lives outside the slots, in one flat bitmap
-/// ([`MarkBits`](crate::MarkBits)) indexed by slot.
+/// ([`MarkBits`](crate::MarkBits)) indexed by slot, next to a second bitmap of
+/// the allocated slots. [`Heap::sweep_unmarked`] reads `allocated & !marked`
+/// a word at a time and does not drop what it reclaims: a dead object stays
+/// in its slot, holding its buffers, until [`Heap::alloc`] reuses the slot.
 ///
 /// Finalizers mirror Go's `runtime.SetFinalizer`: an unmarked object with a
 /// finalizer is *not* reclaimed by [`Heap::sweep_unmarked`]; instead its
@@ -50,6 +56,8 @@ pub struct Heap<O, F = ()> {
     slots: Vec<Slot<O, F>>,
     free: Vec<u32>,
     marks: MarkBits,
+    /// One bit per slot that holds a live object.
+    allocated: MarkBits,
     /// The write barrier: bumped by every mutating entry point (alloc, free,
     /// `get_mut`, finalizer changes, size refresh, sweep frees) and never
     /// reset, so equal reads prove no mutation happened in between.
@@ -83,6 +91,7 @@ impl<O: Trace, F> Heap<O, F> {
             slots: Vec::new(),
             free: Vec::new(),
             marks: MarkBits::new(),
+            allocated: MarkBits::new(),
             mutation_epoch: 0,
             stats: HeapStats::default(),
         }
@@ -94,18 +103,20 @@ impl<O: Trace, F> Heap<O, F> {
             slots: Vec::with_capacity(cap),
             free: Vec::new(),
             marks: MarkBits::new(),
+            allocated: MarkBits::new(),
             mutation_epoch: 0,
             stats: HeapStats::default(),
         }
     }
 
-    /// Allocates `obj`, returning its handle.
+    /// Allocates `obj`, returning its handle. Reusing a swept slot drops the
+    /// dead object it still holds.
     pub fn alloc(&mut self, obj: O) -> Handle {
         let bytes = obj.size_bytes() as u64;
         self.stats.on_alloc(bytes);
         if let Some(idx) = self.free.pop() {
+            self.allocated.try_set(idx as usize);
             let slot = &mut self.slots[idx as usize];
-            debug_assert!(slot.obj.is_none());
             slot.obj = Some(obj);
             slot.bytes = bytes;
             slot.finalizer = None;
@@ -117,25 +128,40 @@ impl<O: Trace, F> Heap<O, F> {
             let idx = u32::try_from(self.slots.len()).expect("heap slot index overflow");
             self.slots.push(Slot { obj: Some(obj), generation: 0, bytes, finalizer: None });
             self.marks.ensure(self.slots.len());
+            self.allocated.try_set(idx as usize);
             self.mutation_epoch += 1;
             Handle::new(idx, 0)
         }
     }
 
+    /// The slot `h` names, if `h` is unmasked and of the slot's current
+    /// generation.
+    ///
+    /// The generation alone decides: freeing or sweeping a slot bumps it,
+    /// and the heap issues a handle of the new generation only when `alloc`
+    /// reuses the slot, so no handle names a dead object. That keeps the
+    /// marker's hot path off the allocated bitmap, which only debug builds
+    /// read here, to check the claim.
     fn slot(&self, h: Handle) -> Option<&Slot<O, F>> {
         if h.is_masked() {
             return None;
         }
         let slot = self.slots.get(h.index() as usize)?;
-        (slot.generation == h.generation() && slot.obj.is_some()).then_some(slot)
+        let current = slot.generation == h.generation();
+        debug_assert!(
+            !current || self.allocated.is_set(h.index() as usize),
+            "{h:?} names a free slot"
+        );
+        current.then_some(slot)
     }
 
+    /// Like `slot`, exclusively.
     fn slot_mut(&mut self, h: Handle) -> Option<&mut Slot<O, F>> {
         if h.is_masked() {
             return None;
         }
         let slot = self.slots.get_mut(h.index() as usize)?;
-        (slot.generation == h.generation() && slot.obj.is_some()).then_some(slot)
+        (slot.generation == h.generation()).then_some(slot)
     }
 
     /// Resolves a handle to a shared reference.
@@ -173,6 +199,7 @@ impl<O: Trace, F> Heap<O, F> {
         slot.generation = slot.generation.wrapping_add(1);
         slot.finalizer = None;
         self.marks.clear(h.index() as usize);
+        self.allocated.clear(h.index() as usize);
         self.mutation_epoch += 1;
         self.free.push(h.index());
         self.stats.on_free(bytes);
@@ -227,32 +254,36 @@ impl<O: Trace, F> Heap<O, F> {
 
     /// Reclaims every live, unmarked object — except those with pending
     /// finalizers, whose payloads are extracted and returned instead.
+    ///
+    /// Visits only the `allocated & !marked` bits, a word at a time, in
+    /// ascending slot order, and pushes the freed slots on the free list in
+    /// that order. The dead objects are not dropped here: [`Heap::alloc`]
+    /// drops each one when it reuses the slot.
     pub fn sweep_unmarked(&mut self) -> SweepOutcome<F> {
         let mut outcome = SweepOutcome::default();
-        for idx in 0..self.slots.len() {
-            if self.marks.is_set(idx) {
-                continue;
+        for word in 0..self.allocated.word_count() {
+            let mut dead = self.allocated.word(word) & !self.marks.word(word);
+            while dead != 0 {
+                let idx = word * 64 + dead.trailing_zeros() as usize;
+                dead &= dead - 1;
+                let slot = &mut self.slots[idx];
+                if let Some(fin) = slot.finalizer.take() {
+                    // Go semantics: the object is resurrected for one cycle so
+                    // its finalizer can observe it.
+                    let h = Handle::new(idx as u32, slot.generation);
+                    outcome.finalizable.push((h, fin));
+                    continue;
+                }
+                slot.generation = slot.generation.wrapping_add(1);
+                let bytes = slot.bytes;
+                self.allocated.clear(idx);
+                self.free.push(idx as u32);
+                self.stats.on_free(bytes);
+                outcome.reclaimed_objects += 1;
+                outcome.reclaimed_bytes += bytes;
             }
-            let slot = &mut self.slots[idx];
-            if slot.obj.is_none() {
-                continue;
-            }
-            if let Some(fin) = slot.finalizer.take() {
-                // Go semantics: the object is resurrected for one cycle so
-                // its finalizer can observe it.
-                let h = Handle::new(idx as u32, slot.generation);
-                outcome.finalizable.push((h, fin));
-                continue;
-            }
-            slot.obj = None;
-            slot.generation = slot.generation.wrapping_add(1);
-            let bytes = slot.bytes;
-            self.mutation_epoch += 1;
-            self.free.push(idx as u32);
-            self.stats.on_free(bytes);
-            outcome.reclaimed_objects += 1;
-            outcome.reclaimed_bytes += bytes;
         }
+        self.mutation_epoch += outcome.reclaimed_objects;
         outcome
     }
 
@@ -289,26 +320,19 @@ impl<O: Trace, F> Heap<O, F> {
     /// Recomputes the byte size of `h` after in-place growth (e.g. a channel
     /// buffer that gained elements), keeping [`HeapStats`] truthful.
     pub fn refresh_size(&mut self, h: Handle) {
-        if h.is_masked() {
-            return;
-        }
-        let Some(slot) = self.slots.get_mut(h.index() as usize) else { return };
-        if slot.generation != h.generation() {
-            return;
-        }
+        let Some(slot) = self.slot_mut(h) else { return };
         let Some(obj) = slot.obj.as_ref() else { return };
         let new_bytes = obj.size_bytes() as u64;
-        let old = slot.bytes;
-        slot.bytes = new_bytes;
+        let old = std::mem::replace(&mut slot.bytes, new_bytes);
         self.stats.heap_alloc_bytes = self.stats.heap_alloc_bytes - old + new_bytes;
         self.mutation_epoch += 1;
     }
 
     /// Iterates over `(handle, object)` pairs for every live object.
     pub fn iter(&self) -> impl Iterator<Item = (Handle, &O)> {
-        self.slots.iter().enumerate().filter_map(|(idx, slot)| {
-            slot.obj.as_ref().map(|o| (Handle::new(idx as u32, slot.generation), o))
-        })
+        self.slots.iter().enumerate().filter(|&(idx, _)| self.allocated.is_set(idx)).filter_map(
+            |(idx, slot)| slot.obj.as_ref().map(|o| (Handle::new(idx as u32, slot.generation), o)),
+        )
     }
 
     /// Iterates over the handles of every live object.
@@ -329,9 +353,10 @@ impl<O: Trace, F> Heap<O, F> {
     }
 
     /// Checks internal invariants, returning a description of the first
-    /// violation found: the free list matches the empty slots, byte and
-    /// object accounting agree with a fresh traversal, and no freed slot
-    /// retains a mark or finalizer. Intended for tests and debug builds.
+    /// violation found: the free list holds exactly the slots not allocated,
+    /// every allocated slot holds an object, byte and object accounting agree
+    /// with a fresh traversal, and no freed slot retains a mark or finalizer.
+    /// Intended for tests and debug builds.
     pub fn validate(&self) -> Result<(), String> {
         let free_set: std::collections::HashSet<u32> = self.free.iter().copied().collect();
         if free_set.len() != self.free.len() {
@@ -339,27 +364,30 @@ impl<O: Trace, F> Heap<O, F> {
         }
         let mut live = 0u64;
         let mut bytes = 0u64;
+        if (self.slots.len()..self.allocated.word_count() * 64).any(|i| self.allocated.is_set(i)) {
+            return Err("allocated bit set beyond the slot table".into());
+        }
         for (idx, slot) in self.slots.iter().enumerate() {
             let idx = idx as u32;
-            match &slot.obj {
-                Some(obj) => {
-                    if free_set.contains(&idx) {
-                        return Err(format!("occupied slot {idx} is on the free list"));
-                    }
-                    live += 1;
-                    bytes += slot.bytes;
-                    let _ = obj; // occupied slots may carry marks/finalizers
+            if self.allocated.is_set(idx as usize) {
+                // Allocated slots may carry marks and finalizers.
+                if slot.obj.is_none() {
+                    return Err(format!("allocated slot {idx} holds no object"));
                 }
-                None => {
-                    if !free_set.contains(&idx) {
-                        return Err(format!("empty slot {idx} missing from the free list"));
-                    }
-                    if self.marks.is_set(idx as usize) {
-                        return Err(format!("freed slot {idx} still marked"));
-                    }
-                    if slot.finalizer.is_some() {
-                        return Err(format!("freed slot {idx} retains a finalizer"));
-                    }
+                if free_set.contains(&idx) {
+                    return Err(format!("allocated slot {idx} is on the free list"));
+                }
+                live += 1;
+                bytes += slot.bytes;
+            } else {
+                if !free_set.contains(&idx) {
+                    return Err(format!("free slot {idx} missing from the free list"));
+                }
+                if self.marks.is_set(idx as usize) {
+                    return Err(format!("freed slot {idx} still marked"));
+                }
+                if slot.finalizer.is_some() {
+                    return Err(format!("freed slot {idx} retains a finalizer"));
                 }
             }
         }
@@ -620,6 +648,81 @@ mod tests {
         heap.clear_marks();
         heap.try_mark(handles[0]);
         assert_eq!(heap.mutation_epoch(), e);
+    }
+
+    /// Counts its drops, to show when the heap drops a swept object.
+    struct Counted(std::rc::Rc<std::cell::Cell<usize>>);
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.0.set(self.0.get() + 1);
+        }
+    }
+
+    impl Trace for Counted {
+        fn trace(&self, _visit: &mut dyn FnMut(Handle)) {}
+    }
+
+    #[test]
+    fn swept_objects_drop_when_their_slot_is_reused() {
+        let drops = std::rc::Rc::new(std::cell::Cell::new(0));
+        let mut heap: Heap<Counted> = Heap::new();
+        let a = heap.alloc(Counted(drops.clone()));
+        heap.clear_marks();
+        assert_eq!(heap.sweep_unmarked().reclaimed_objects, 1);
+        assert_eq!(drops.get(), 0, "the sweep leaves the dead object in its slot");
+        let b = heap.alloc(Counted(drops.clone()));
+        assert_eq!(b.index(), a.index());
+        assert_eq!(drops.get(), 1, "reusing the slot drops the dead object");
+        drop(heap);
+        assert_eq!(drops.get(), 2);
+    }
+
+    #[test]
+    fn swept_but_undropped_objects_are_invisible() {
+        let mut heap: Heap<Node> = Heap::new();
+        let a = heap.alloc(leaf(10));
+        let b = heap.alloc(leaf(20));
+        heap.clear_marks();
+        heap.try_mark(b);
+        assert_eq!(heap.sweep_unmarked().reclaimed_objects, 1);
+        assert!(heap.slots[a.index() as usize].obj.is_some(), "the dead object is not dropped yet");
+        assert!(heap.get(a).is_none());
+        assert!(!heap.contains(a));
+        assert!(!heap.try_mark(a));
+        assert!(!heap.is_marked(a));
+        assert!(heap.get_mut(a).is_none());
+        heap.refresh_size(a);
+        assert_eq!(heap.stats().heap_alloc_bytes, 20, "refresh_size saw no dead object");
+        assert_eq!(heap.handles().collect::<Vec<_>>(), vec![b]);
+        assert_eq!(heap.iter().map(|(_, o)| o.payload).collect::<Vec<_>>(), vec![20]);
+        heap.validate().unwrap();
+    }
+
+    #[test]
+    fn sweep_frees_slots_in_ascending_order_across_words() {
+        let mut heap: Heap<Node> = Heap::new();
+        let handles: Vec<Handle> = (0..200).map(|_| heap.alloc(leaf(1))).collect();
+        heap.clear_marks();
+        for &h in handles.iter().step_by(3) {
+            heap.try_mark(h);
+        }
+        assert_eq!(heap.sweep_unmarked().reclaimed_objects, 133);
+        let expected: Vec<u32> = (0..200).filter(|i| i % 3 != 0).collect();
+        assert_eq!(heap.free, expected);
+        // The free list pops from the top: the highest freed slot goes first.
+        assert_eq!(heap.alloc(leaf(1)).index(), 199);
+        heap.validate().unwrap();
+    }
+
+    #[test]
+    fn validate_rejects_an_allocated_slot_on_the_free_list() {
+        let mut heap: Heap<Node> = Heap::new();
+        heap.alloc(leaf(1));
+        let b = heap.alloc(leaf(1));
+        heap.validate().unwrap();
+        heap.free.push(b.index());
+        assert_eq!(heap.validate(), Err("allocated slot 1 is on the free list".to_string()));
     }
 
     #[test]

@@ -29,16 +29,19 @@ enum Op {
     Alloc { bytes: usize, link_a: usize, link_b: usize },
     /// Free the `i`-th (mod len) live object directly.
     Free(usize),
-    /// Run a full GC with the `i`-th (mod len) live object as the only root.
-    Collect { root: usize },
+    /// Run a full GC rooted at every live object except those whose
+    /// position `p` has `p % stride == root % stride`. A stride of 1 roots
+    /// nothing; larger strides drop fewer roots, so heaps grow over several
+    /// bitmap words between the collections that shrink them.
+    Collect { root: usize, stride: usize },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (1usize..512, any::<usize>(), any::<usize>())
+        8 => (1usize..512, any::<usize>(), any::<usize>())
             .prop_map(|(bytes, link_a, link_b)| Op::Alloc { bytes, link_a, link_b }),
-        any::<usize>().prop_map(Op::Free),
-        any::<usize>().prop_map(|root| Op::Collect { root }),
+        1 => any::<usize>().prop_map(Op::Free),
+        1 => (any::<usize>(), 1usize..65).prop_map(|(root, stride)| Op::Collect { root, stride }),
     ]
 }
 
@@ -62,7 +65,7 @@ proptest! {
     /// marked set equals graph reachability computed independently, and byte
     /// accounting matches the sum of live object sizes.
     #[test]
-    fn mark_sweep_preserves_reachable(ops in proptest::collection::vec(op_strategy(), 1..60)) {
+    fn mark_sweep_preserves_reachable(ops in proptest::collection::vec(op_strategy(), 1..500)) {
         let mut heap: Heap<Node> = Heap::new();
         let mut live: Vec<Handle> = Vec::new();
 
@@ -88,15 +91,19 @@ proptest! {
                     // the marker (it skips stale handles), matching a heap
                     // where free is only driven by the collector in practice.
                 }
-                Op::Collect { root } => {
+                Op::Collect { root, stride } => {
                     if live.is_empty() {
                         heap.clear_marks();
                         heap.sweep_unmarked();
                         prop_assert_eq!(heap.len(), 0);
                         continue;
                     }
-                    let root_h = live[root % live.len()];
-                    let marked = mark_from(&mut heap, &[root_h]);
+                    let dropped = root % stride;
+                    let roots: Vec<Handle> = (0..live.len())
+                        .filter(|p| p % stride != dropped)
+                        .map(|p| live[p])
+                        .collect();
+                    let marked = mark_from(&mut heap, &roots);
                     let before = heap.len();
                     let out = heap.sweep_unmarked();
                     prop_assert_eq!(out.reclaimed_objects as usize, before - marked.len());

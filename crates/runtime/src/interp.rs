@@ -2,7 +2,7 @@
 
 use crate::goroutine::{Gid, WaitReason};
 use crate::instr::{BinOp, Instr};
-use crate::object::Object;
+use crate::object::{Object, SliceVals};
 use crate::value::Value;
 use crate::vm::{go_id, Alarm, Exec, Finalizer, Vm};
 use golf_trace::TraceEvent;
@@ -167,7 +167,7 @@ impl Vm {
                 }
             }
             Instr::NewSlice(dst) => {
-                let h = self.heap.alloc(Object::Slice(Vec::new()));
+                let h = self.heap.alloc(Object::Slice(SliceVals::default()));
                 self.write_var(gid, dst, Value::Ref(h));
                 Exec::Continue
             }
@@ -210,12 +210,10 @@ impl Vm {
                 match self.read_var(gid, slice) {
                     Value::Ref(h) => match self.heap.get_mut(h) {
                         Some(Object::Slice(vs)) => {
-                            match usize::try_from(i).ok().and_then(|i| vs.get_mut(i)) {
-                                Some(slot) => {
-                                    *slot = v;
-                                    Exec::Continue
-                                }
-                                None => self.goroutine_panic(gid, "index out of range"),
+                            if usize::try_from(i).is_ok_and(|i| vs.set(i, v)) {
+                                Exec::Continue
+                            } else {
+                                self.goroutine_panic(gid, "index out of range")
                             }
                         }
                         _ => self.goroutine_panic(gid, "index of non-slice"),

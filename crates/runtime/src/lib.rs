@@ -83,7 +83,8 @@ pub use func::{FuncId, Function, GlobalId, ProgramSet, SiteId, SiteInfo, StructT
 pub use goroutine::{Blocked, Frame, GStatus, Gid, Goroutine, WaitReason};
 pub use instr::{BinOp, Instr, SelOp, SelectCase};
 pub use object::{
-    ChanState, CondState, MutexState, Object, RwLockState, TypeId, WaitKind, Waiter, WgState,
+    ChanState, CondState, MutexState, Object, RwLockState, SliceVals, TypeId, WaitKind, Waiter,
+    WgState,
 };
 pub use sched::SchedPolicy;
 pub use seed::seed_for;

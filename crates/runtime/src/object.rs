@@ -4,6 +4,8 @@ use crate::goroutine::Gid;
 use crate::value::{Value, Var};
 use golf_heap::{Handle, Trace};
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt;
+use std::ops::Deref;
 
 /// Identifies a registered struct type (see
 /// [`ProgramSet::struct_type`](crate::ProgramSet::struct_type)).
@@ -100,6 +102,64 @@ pub struct CondState {
     pub sema: Handle,
 }
 
+/// The elements of an [`Object::Slice`], with a count of how many are
+/// [`Value::Ref`]s.
+///
+/// The count is what makes a pointer-free slice *noscan*, like a Go span of
+/// a pointer-free type: marking returns at once for a slice with no refs
+/// instead of reading every element. Writes go through [`SliceVals::push`]
+/// and [`SliceVals::set`], which keep the count exact; reads deref to
+/// `[Value]`.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct SliceVals {
+    vals: Vec<Value>,
+    refs: usize,
+}
+
+impl SliceVals {
+    /// Appends `v`.
+    pub fn push(&mut self, v: Value) {
+        self.refs += usize::from(matches!(v, Value::Ref(_)));
+        self.vals.push(v);
+    }
+
+    /// Overwrites element `i` with `v`, returning `false` (and changing
+    /// nothing) when `i` is out of range.
+    pub fn set(&mut self, i: usize, v: Value) -> bool {
+        let Some(slot) = self.vals.get_mut(i) else { return false };
+        self.refs -= usize::from(matches!(slot, Value::Ref(_)));
+        self.refs += usize::from(matches!(v, Value::Ref(_)));
+        *slot = v;
+        true
+    }
+
+    /// Number of [`Value::Ref`] elements; `0` means marking skips the slice.
+    pub fn refs(&self) -> usize {
+        self.refs
+    }
+}
+
+impl From<Vec<Value>> for SliceVals {
+    fn from(vals: Vec<Value>) -> Self {
+        let refs = vals.iter().filter(|v| matches!(v, Value::Ref(_))).count();
+        SliceVals { vals, refs }
+    }
+}
+
+impl Deref for SliceVals {
+    type Target = [Value];
+
+    fn deref(&self) -> &[Value] {
+        &self.vals
+    }
+}
+
+impl fmt::Debug for SliceVals {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.vals.fmt(f)
+    }
+}
+
 /// A heap object.
 ///
 /// Every first-class runtime entity that Go would store on its heap is a
@@ -130,7 +190,7 @@ pub enum Object {
         fields: Vec<Value>,
     },
     /// A growable vector of values.
-    Slice(Vec<Value>),
+    Slice(SliceVals),
     /// A Go map (deterministically ordered so runs replay exactly).
     Map(BTreeMap<Value, Value>),
     /// A `sync.Once`. Simplification vs Go: a `Do` that observes the flag
@@ -201,7 +261,10 @@ impl Trace for Object {
                 }
             }
             Object::Slice(vs) => {
-                for v in vs {
+                if vs.refs() == 0 {
+                    return;
+                }
+                for v in vs.iter() {
                     if let Value::Ref(h) = v {
                         visit(*h);
                     }
@@ -301,6 +364,24 @@ mod tests {
     #[test]
     fn kinds_are_descriptive() {
         assert_eq!(Object::chan(0).kind(), "chan");
-        assert_eq!(Object::Slice(vec![]).kind(), "slice");
+        assert_eq!(Object::Slice(SliceVals::default()).kind(), "slice");
+    }
+
+    #[test]
+    fn slice_counts_refs_through_every_write() {
+        let mut heap: Heap<Object> = Heap::new();
+        let a = heap.alloc(Object::Sema);
+        let mut vs = SliceVals::from(vec![Value::Int(1), Value::Ref(a)]);
+        assert_eq!(vs.refs(), 1);
+        vs.push(Value::Ref(a));
+        assert_eq!(vs.refs(), 2);
+        assert!(vs.set(1, Value::Int(2)));
+        assert!(vs.set(2, Value::Nil));
+        assert!(!vs.set(3, Value::Ref(a)), "out of range changes nothing");
+        assert_eq!(vs.refs(), 0);
+        assert_eq!(format!("{vs:?}"), "[Int(1), Int(2), Nil]");
+        let mut seen = Vec::new();
+        Object::Slice(vs).trace(&mut |h| seen.push(h));
+        assert!(seen.is_empty());
     }
 }

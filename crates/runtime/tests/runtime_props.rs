@@ -167,7 +167,7 @@ proptest! {
         // Read each looper's progress.
         let Value::Ref(slice) = vm.global(out) else { panic!("no cells") };
         let cells: Vec<_> = match vm.heap().get(slice) {
-            Some(golf_runtime::Object::Slice(vs)) => vs.clone(),
+            Some(golf_runtime::Object::Slice(vs)) => vs.to_vec(),
             _ => panic!("not a slice"),
         };
         prop_assert_eq!(cells.len(), n as usize);
