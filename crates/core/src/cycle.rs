@@ -8,6 +8,7 @@ use crate::hints::LivenessHint;
 use crate::mark::Marker;
 use crate::report::DeadlockReport;
 use crate::stats::{GcCycleStats, GcTotals, PhaseEvent};
+use golf_heap::MarkBits;
 use golf_runtime::{GStatus, Gid, Goroutine, Value, Vm};
 use golf_trace::{GoId, TraceEvent};
 use std::collections::HashSet;
@@ -18,39 +19,6 @@ fn go_id(gid: Gid) -> GoId {
     GoId::new(gid.index(), gid.generation())
 }
 
-/// A set of goroutines or heap objects keyed by slot index: one bit per
-/// slot.
-///
-/// Exact only while no slot is reused, because then a slot names one
-/// goroutine or object. That holds inside [`GcEngine::collect`] up to the
-/// sweep: finalizer goroutines spawn after it, a slot freed by
-/// [`Vm::force_shutdown`] is reused only by a spawn, and the collector
-/// allocates no heap object.
-#[derive(Debug, Default)]
-struct SlotSet(Vec<u64>);
-
-impl SlotSet {
-    fn clear(&mut self) {
-        self.0.clear();
-    }
-
-    /// Adds slot `i`, returning `true` exactly when it was not in the set.
-    fn insert(&mut self, i: u32) -> bool {
-        let i = i as usize;
-        if i / 64 >= self.0.len() {
-            self.0.resize(i / 64 + 1, 0);
-        }
-        let fresh = self.0[i / 64] & (1 << (i % 64)) == 0;
-        self.0[i / 64] |= 1 << (i % 64);
-        fresh
-    }
-
-    fn contains(&self, i: u32) -> bool {
-        let i = i as usize;
-        self.0.get(i / 64).is_some_and(|w| w & (1 << (i % 64)) != 0)
-    }
-}
-
 /// Reusable per-cycle working state, hoisted out of [`GcEngine::collect`] so
 /// steady-state cycles clear containers instead of reallocating them.
 #[derive(Debug, Default)]
@@ -58,12 +26,18 @@ struct CycleScratch {
     inert_globals: HashSet<golf_heap::Handle>,
     inert_sites: HashSet<Arc<str>>,
     /// Goroutines in the root set: reachably live so far, or hinted inert.
-    in_roots: SlotSet,
+    /// Keyed by goroutine slot, which is exact because no slot is reused
+    /// inside [`GcEngine::collect`] up to the sweep: finalizer goroutines
+    /// spawn after it, and a slot freed by [`Vm::force_shutdown`] is reused
+    /// only by a spawn.
+    in_roots: MarkBits,
     /// Hinted-inert goroutines, whose stacks are marked only before the sweep.
     inert_gids: Vec<Gid>,
     added: Vec<Gid>,
-    /// Unmarked objects the reclaim loop's finalizer checks have visited.
-    finalizer_seen: SlotSet,
+    /// Unmarked objects the reclaim loop's finalizer checks have visited,
+    /// keyed by heap slot. Exact because the collector allocates no heap
+    /// object before the sweep, so no slot is reused while it is read.
+    finalizer_seen: MarkBits,
     finalizer_work: Vec<golf_heap::Handle>,
 }
 
@@ -71,10 +45,10 @@ impl CycleScratch {
     fn reset(&mut self) {
         self.inert_globals.clear();
         self.inert_sites.clear();
-        self.in_roots.clear();
+        self.in_roots.clear_all();
         self.inert_gids.clear();
         self.added.clear();
-        self.finalizer_seen.clear();
+        self.finalizer_seen.clear_all();
     }
 }
 
@@ -380,7 +354,7 @@ impl GcEngine {
             if detection && spawn_site_is_inert(vm, &scratch.inert_sites, g) {
                 // In the root set without its stack: never expanded or
                 // reported, and its stack is marked only before the sweep.
-                scratch.in_roots.insert(g.id.index());
+                scratch.in_roots.try_set(g.id.index() as usize);
                 scratch.inert_gids.push(g.id);
                 continue;
             }
@@ -389,7 +363,7 @@ impl GcEngine {
                 for h in g.stack_roots() {
                     marker.push_root(h);
                 }
-                scratch.in_roots.insert(g.id.index());
+                scratch.in_roots.try_set(g.id.index() as usize);
                 goroutine_roots += 1;
             }
         }
@@ -421,12 +395,12 @@ impl GcEngine {
                     stats.liveness_checks += 1;
                     // Joining the root set at once dedups a goroutine
                     // waiting on several marked objects.
-                    if scratch.in_roots.contains(gid.index())
+                    if scratch.in_roots.is_set(gid.index() as usize)
                         || !vm.goroutine(gid).is_some_and(|g| g.deadlock_candidate())
                     {
                         continue;
                     }
-                    scratch.in_roots.insert(gid.index());
+                    scratch.in_roots.try_set(gid.index() as usize);
                     if strategy == ExpansionStrategy::Incremental {
                         push_stack(&mut marker, vm, gid);
                     } else {
@@ -440,7 +414,7 @@ impl GcEngine {
             });
             if detection && strategy == ExpansionStrategy::Rescan {
                 for g in vm.live_goroutines() {
-                    if scratch.in_roots.contains(g.id.index()) || !g.deadlock_candidate() {
+                    if scratch.in_roots.is_set(g.id.index() as usize) || !g.deadlock_candidate() {
                         continue;
                     }
                     let mut live = false;
@@ -457,7 +431,7 @@ impl GcEngine {
                         }
                     }
                     if live {
-                        scratch.in_roots.insert(g.id.index());
+                        scratch.in_roots.try_set(g.id.index() as usize);
                         scratch.added.push(g.id);
                     }
                 }
@@ -488,8 +462,9 @@ impl GcEngine {
             if vm.trace_enabled() {
                 vm.trace_emit(TraceEvent::GcPhaseBegin { cycle: cycle_no, phase: "detect" });
             }
-            let is_deadlocked =
-                |g: &Goroutine| g.deadlock_candidate() && !scratch.in_roots.contains(g.id.index());
+            let is_deadlocked = |g: &Goroutine| {
+                g.deadlock_candidate() && !scratch.in_roots.is_set(g.id.index() as usize)
+            };
             let deadlocked: Vec<Gid> =
                 vm.live_goroutines().filter(|g| is_deadlocked(g)).map(|g| g.id).collect();
 
@@ -688,7 +663,7 @@ impl GcEngine {
 fn subgraph_has_finalizer(
     vm: &Vm,
     gid: Gid,
-    seen: &mut SlotSet,
+    seen: &mut MarkBits,
     work: &mut Vec<golf_heap::Handle>,
 ) -> bool {
     use golf_heap::Trace;
@@ -702,7 +677,7 @@ fn subgraph_has_finalizer(
         }
         // A stale handle resolves to nothing and must not claim its slot.
         let Some(obj) = heap.get(h) else { continue };
-        if !seen.insert(h.index()) {
+        if !seen.try_set(h.index() as usize) {
             continue;
         }
         if heap.has_finalizer(h) {

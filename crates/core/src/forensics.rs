@@ -10,8 +10,8 @@
 //! [`WaitForGraph`]) and rendered to DOT only when someone reads it, so the
 //! pause never formats a string for it.
 
-use golf_heap::Handle;
-use golf_runtime::{FuncId, GStatus, Gid, Goroutine, Object, ProgramSet, Vm, WaitReason};
+use golf_heap::{Handle, Trace};
+use golf_runtime::{FuncId, GStatus, Gid, Goroutine, ProgramSet, Vm, WaitReason};
 use golf_trace::GoId;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -30,63 +30,6 @@ fn go_id(gid: Gid) -> GoId {
 /// recorder records exactly while one is.
 pub fn flight_tail(vm: &Vm, gid: Gid, k: usize) -> Vec<String> {
     vm.tracer().recorder().tail_for(go_id(gid), k).iter().map(|r| r.to_string()).collect()
-}
-
-/// The kind of a `B(g)` object, as the DOT label names it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ObjectKind {
-    Chan,
-    Mutex,
-    RwMutex,
-    WaitGroup,
-    Cond,
-    Sema,
-    Struct,
-    Slice,
-    Map,
-    Once,
-    Cell,
-    Blob,
-    /// The handle no longer resolves.
-    Freed,
-}
-
-impl ObjectKind {
-    fn of(obj: Option<&Object>) -> Self {
-        match obj {
-            Some(Object::Chan(_)) => ObjectKind::Chan,
-            Some(Object::Mutex(_)) => ObjectKind::Mutex,
-            Some(Object::RwLock(_)) => ObjectKind::RwMutex,
-            Some(Object::WaitGroup(_)) => ObjectKind::WaitGroup,
-            Some(Object::Cond(_)) => ObjectKind::Cond,
-            Some(Object::Sema) => ObjectKind::Sema,
-            Some(Object::Struct { .. }) => ObjectKind::Struct,
-            Some(Object::Slice(_)) => ObjectKind::Slice,
-            Some(Object::Map(_)) => ObjectKind::Map,
-            Some(Object::Once { .. }) => ObjectKind::Once,
-            Some(Object::Cell(_)) => ObjectKind::Cell,
-            Some(Object::Blob { .. }) => ObjectKind::Blob,
-            None => ObjectKind::Freed,
-        }
-    }
-
-    fn as_str(self) -> &'static str {
-        match self {
-            ObjectKind::Chan => "chan",
-            ObjectKind::Mutex => "mutex",
-            ObjectKind::RwMutex => "rwmutex",
-            ObjectKind::WaitGroup => "waitgroup",
-            ObjectKind::Cond => "cond",
-            ObjectKind::Sema => "sema",
-            ObjectKind::Struct => "struct",
-            ObjectKind::Slice => "slice",
-            ObjectKind::Map => "map",
-            ObjectKind::Once => "once",
-            ObjectKind::Cell => "cell",
-            ObjectKind::Blob => "blob",
-            ObjectKind::Freed => "freed",
-        }
-    }
 }
 
 /// One parked goroutine of a [`WaitForGraph`].
@@ -109,7 +52,9 @@ struct BlockedObject {
     /// Masked handles (§5.4) hide the object from the marker; the forensic
     /// view sees through them, so this is the unmasked handle.
     handle: Handle,
-    kind: ObjectKind,
+    /// [`Trace::kind`] of the object, or `"freed"` for a handle that no
+    /// longer resolves.
+    kind: &'static str,
     marked: bool,
 }
 
@@ -150,7 +95,7 @@ impl WaitForGraph {
                 let handle = h.unmasked();
                 BlockedObject {
                     handle,
-                    kind: ObjectKind::of(heap.get(handle)),
+                    kind: heap.get(handle).map_or("freed", Trace::kind),
                     marked: heap.is_marked(handle),
                 }
             }));
@@ -200,7 +145,7 @@ impl WaitForGraph {
                 out,
                 "  \"{node}\" [shape=box, style={style}, label=\"{node}\\n{kind}\\n{mark}\"];",
                 node = o.handle,
-                kind = o.kind.as_str(),
+                kind = o.kind,
             );
         }
         out.push_str(&edges);

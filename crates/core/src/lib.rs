@@ -19,7 +19,7 @@
 //! 4. Every goroutine not in the final root set is **deadlocked** —
 //!    soundly, because memory reachability over-approximates liveness.
 //! 5. **Recovery**: deadlocked goroutines are reported, then forcefully
-//!    shut down (unlinked from channel queues and the semaphore treap,
+//!    shut down (unlinked from channel queues and the semaphore table,
 //!    their slots recycled) so the sweep reclaims their memory — *unless*
 //!    their subgraph carries finalizers, in which case they are preserved
 //!    forever to keep Go's observable semantics (§5.5).

@@ -1,10 +1,9 @@
 //! The schedule file: a compact, replayable decision trace.
 //!
 //! A schedule pins one execution completely: the VM seed (which fixes all
-//! non-scheduling nondeterminism — `select` choice, treap priorities,
-//! `RandInt`), the virtual-core count and tick budget, and the sequence of
-//! `(pick, quantum)` decisions the scheduling policy made at every
-//! scheduling slot. Replaying a schedule through
+//! non-scheduling nondeterminism — `select` choice and `RandInt`), the
+//! virtual-core count and tick budget, and the sequence of `(pick,
+//! quantum)` decisions the scheduling policy made at every scheduling slot. Replaying a schedule through
 //! [`ReplayPolicy`](crate::ReplayPolicy) reproduces the run byte-for-byte:
 //! same trace, same deadlock reports, same GC statistics.
 //!

@@ -190,7 +190,7 @@ pub struct Goroutine {
     /// `B(g)` — what the goroutine is blocked on.
     pub blocked: Blocked,
     /// Monotonic token bumped on every park/unpark; used to lazily invalidate
-    /// stale channel-queue and treap entries (Go removes sudogs eagerly; lazy
+    /// stale channel-queue and semaphore-table entries (Go removes sudogs eagerly; lazy
     /// invalidation is equivalent and simpler).
     pub wait_token: u64,
     /// The `go` statement that created this goroutine (for reports and

@@ -13,7 +13,7 @@
 //!   FIFO, close, nil channels, `range`, blocking/`default`/zero-case
 //!   `select`);
 //! * **`sync` primitives** (`Mutex`, `RWMutex`, `WaitGroup`, `Cond`) that
-//!   park on runtime semaphores registered in a global [`SemaTreap`]
+//!   park on runtime semaphores registered in a global [`SemaTable`]
 //!   (Go's `semaRoot`), with GOLF-style *masked* handles;
 //! * a **cooperative scheduler** with `GOMAXPROCS` virtual cores and
 //!   seeded nondeterminism (every run is reproducible from its seed);
@@ -88,7 +88,7 @@ pub use object::{
 };
 pub use sched::SchedPolicy;
 pub use seed::seed_for;
-pub use sema::{SemaTreap, SemaWaiter};
+pub use sema::{SemaTable, SemaWaiter};
 pub use value::{Value, Var};
 pub use vm::{
     AssistConfig, Finalizer, PanicInfo, PanicPolicy, RunOutcome, RunStatus, TickStatus, Vm,

@@ -179,7 +179,7 @@ pub enum Object {
     /// A `sync.Cond`.
     Cond(CondState),
     /// A runtime semaphore token. Waiter bookkeeping lives in the global
-    /// semaphore treap (see [`SemaTreap`](crate::SemaTreap)), keyed by the
+    /// semaphore table (see [`SemaTable`](crate::SemaTable)), keyed by the
     /// *masked* handle of this object — mirroring Go's `semaRoot`.
     Sema,
     /// A user struct with named type and positional fields.
@@ -310,15 +310,15 @@ impl Trace for Object {
     fn kind(&self) -> &'static str {
         match self {
             Object::Chan(_) => "chan",
-            Object::Mutex(_) => "sync.Mutex",
-            Object::RwLock(_) => "sync.RWMutex",
-            Object::WaitGroup(_) => "sync.WaitGroup",
-            Object::Cond(_) => "sync.Cond",
-            Object::Sema => "runtime.sema",
+            Object::Mutex(_) => "mutex",
+            Object::RwLock(_) => "rwmutex",
+            Object::WaitGroup(_) => "waitgroup",
+            Object::Cond(_) => "cond",
+            Object::Sema => "sema",
             Object::Struct { .. } => "struct",
             Object::Slice(_) => "slice",
             Object::Map(_) => "map",
-            Object::Once { .. } => "sync.Once",
+            Object::Once { .. } => "once",
             Object::Cell(_) => "cell",
             Object::Blob { .. } => "blob",
         }

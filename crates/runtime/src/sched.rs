@@ -14,8 +14,8 @@ use std::collections::binary_heap::PeekMut;
 /// [`Vm::set_sched_policy`] replaces *both* scheduling decisions — the pick
 /// at every scheduling slot and the instruction quantum — with the policy's
 /// answers, and stops the scheduler from consuming the VM RNG at all. The
-/// VM RNG then only feeds non-scheduling nondeterminism (`select` choice,
-/// treap priorities, `RandInt`), so a decision trace of `(pick, quantum)`
+/// VM RNG then only feeds non-scheduling nondeterminism (`select` choice
+/// and `RandInt`), so a decision trace of `(pick, quantum)`
 /// pairs plus the VM seed pins the entire execution: this is the hook
 /// `golf-explore` builds systematic schedule exploration, recording and
 /// byte-identical replay on.

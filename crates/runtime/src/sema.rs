@@ -1,5 +1,5 @@
-//! The global semaphore table: a treap keyed by **masked** semaphore
-//! handles, mirroring Go's `semaRoot` (a treap of `sudog`s, see
+//! The global semaphore table: an ordered map keyed by **masked** semaphore
+//! handles, mirroring Go's `semaRoot` (a table of `sudog` queues, see
 //! `runtime/sema.go`) and GOLF's obfuscation of the addresses stored there
 //! (paper §5.4, "Semaphores").
 //!
@@ -10,9 +10,8 @@
 
 use crate::goroutine::Gid;
 use golf_heap::Handle;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, VecDeque};
 
 /// One parked goroutine in a semaphore wait queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,46 +22,32 @@ pub struct SemaWaiter {
     pub token: u64,
 }
 
-#[derive(Debug)]
-struct Node {
-    /// Masked handle of the semaphore object.
-    key: Handle,
-    priority: u64,
-    waiters: VecDeque<SemaWaiter>,
-    left: Option<Box<Node>>,
-    right: Option<Box<Node>>,
-}
-
-/// A treap from masked semaphore handles to FIFO waiter queues.
+/// A map from masked semaphore handles to FIFO waiter queues. A semaphore
+/// with no parked waiter has no entry.
 ///
 /// # Example
 ///
 /// ```
-/// use golf_runtime::{SemaTreap, SemaWaiter};
+/// use golf_runtime::{SemaTable, SemaWaiter};
 /// use golf_heap::{Heap, Trace, Handle};
 /// # use golf_runtime::Object;
 /// # let mut heap: Heap<Object> = Heap::new();
 /// # let sema = heap.alloc(Object::Sema);
 /// # let gid = golf_runtime::test_gid(7);
-/// let mut treap = SemaTreap::new(42);
-/// treap.enqueue(sema, SemaWaiter { gid, token: 1 });
-/// // Keys are stored masked: the GC can scan the treap without marking.
-/// assert!(treap.keys().all(|k| k.is_masked()));
-/// assert_eq!(treap.dequeue_first(sema), Some(SemaWaiter { gid, token: 1 }));
+/// let mut table = SemaTable::default();
+/// table.enqueue(sema, SemaWaiter { gid, token: 1 });
+/// // Keys are stored masked: the GC can scan the table without marking.
+/// assert!(table.keys().all(|k| k.is_masked()));
+/// assert_eq!(table.dequeue_first(sema), Some(SemaWaiter { gid, token: 1 }));
+/// assert_eq!(table.keys().count(), 0, "an emptied queue leaves no entry");
 /// ```
-#[derive(Debug)]
-pub struct SemaTreap {
-    root: Option<Box<Node>>,
-    rng: SmallRng,
+#[derive(Debug, Default)]
+pub struct SemaTable {
+    queues: BTreeMap<Handle, VecDeque<SemaWaiter>>,
     len: usize,
 }
 
-impl SemaTreap {
-    /// Creates an empty treap whose rotation priorities come from `seed`.
-    pub fn new(seed: u64) -> Self {
-        SemaTreap { root: None, rng: SmallRng::seed_from_u64(seed), len: 0 }
-    }
-
+impl SemaTable {
     /// Total parked waiters across all semaphores.
     pub fn len(&self) -> usize {
         self.len
@@ -75,95 +60,28 @@ impl SemaTreap {
 
     /// Parks `waiter` on `sema` (the key is masked internally).
     pub fn enqueue(&mut self, sema: Handle, waiter: SemaWaiter) {
-        let key = sema.masked();
-        let priority = self.rng.gen();
-        Self::insert_into(&mut self.root, key, priority, waiter);
+        self.queues.entry(sema.masked()).or_default().push_back(waiter);
         self.len += 1;
     }
 
-    fn insert_into(node: &mut Option<Box<Node>>, key: Handle, priority: u64, waiter: SemaWaiter) {
-        match node {
-            None => {
-                let mut waiters = VecDeque::new();
-                waiters.push_back(waiter);
-                *node = Some(Box::new(Node { key, priority, waiters, left: None, right: None }));
-            }
-            Some(n) => {
-                if key == n.key {
-                    n.waiters.push_back(waiter);
-                } else if key < n.key {
-                    Self::insert_into(&mut n.left, key, priority, waiter);
-                    if n.left.as_ref().is_some_and(|l| l.priority > n.priority) {
-                        Self::rotate_right(node);
-                    }
-                } else {
-                    Self::insert_into(&mut n.right, key, priority, waiter);
-                    if n.right.as_ref().is_some_and(|r| r.priority > n.priority) {
-                        Self::rotate_left(node);
-                    }
-                }
-            }
-        }
-    }
-
-    fn rotate_right(node: &mut Option<Box<Node>>) {
-        let mut n = node.take().expect("rotate on empty node");
-        let mut l = n.left.take().expect("rotate_right without left child");
-        n.left = l.right.take();
-        l.right = Some(n);
-        *node = Some(l);
-    }
-
-    fn rotate_left(node: &mut Option<Box<Node>>) {
-        let mut n = node.take().expect("rotate on empty node");
-        let mut r = n.right.take().expect("rotate_left without right child");
-        n.right = r.left.take();
-        r.left = Some(n);
-        *node = Some(r);
-    }
-
-    fn find(&self, key: Handle) -> Option<&Node> {
-        let mut cur = self.root.as_deref();
-        while let Some(n) = cur {
-            if key == n.key {
-                return Some(n);
-            }
-            cur = if key < n.key { n.left.as_deref() } else { n.right.as_deref() };
-        }
-        None
-    }
-
-    fn find_mut(&mut self, key: Handle) -> Option<&mut Node> {
-        let mut cur = self.root.as_deref_mut();
-        while let Some(n) = cur {
-            if key == n.key {
-                return Some(n);
-            }
-            cur = if key < n.key { n.left.as_deref_mut() } else { n.right.as_deref_mut() };
-        }
-        None
-    }
-
-    /// Pops the first (FIFO) waiter parked on `sema`, removing the node when
-    /// its queue empties.
+    /// Pops the first (FIFO) waiter parked on `sema`, removing the entry
+    /// when its queue empties.
     pub fn dequeue_first(&mut self, sema: Handle) -> Option<SemaWaiter> {
-        let key = sema.masked();
-        let w = self.find_mut(key)?.waiters.pop_front()?;
+        let Entry::Occupied(mut e) = self.queues.entry(sema.masked()) else { return None };
+        let w = e.get_mut().pop_front()?;
+        if e.get().is_empty() {
+            e.remove();
+        }
         self.len -= 1;
-        self.remove_if_empty(key);
         Some(w)
     }
 
     /// Removes and returns *all* waiters parked on `sema`
     /// (`WaitGroup` zero-crossings, `Cond.Broadcast`).
     pub fn dequeue_all(&mut self, sema: Handle) -> Vec<SemaWaiter> {
-        let key = sema.masked();
-        let drained: Vec<SemaWaiter> = match self.find_mut(key) {
-            Some(n) => n.waiters.drain(..).collect(),
-            None => Vec::new(),
-        };
+        let drained: Vec<SemaWaiter> =
+            self.queues.remove(&sema.masked()).map(Vec::from).unwrap_or_default();
         self.len -= drained.len();
-        self.remove_if_empty(key);
         drained
     }
 
@@ -171,89 +89,27 @@ impl SemaTreap {
     /// shutdown must unlink deadlocked goroutines — paper §5.4).
     /// Returns whether an entry was removed.
     pub fn remove_goroutine(&mut self, sema: Handle, gid: Gid) -> bool {
-        let key = sema.masked();
-        let removed = match self.find_mut(key) {
-            Some(n) => {
-                let before = n.waiters.len();
-                n.waiters.retain(|w| w.gid != gid);
-                before - n.waiters.len()
-            }
-            None => 0,
-        };
+        let Entry::Occupied(mut e) = self.queues.entry(sema.masked()) else { return false };
+        let before = e.get().len();
+        e.get_mut().retain(|w| w.gid != gid);
+        let removed = before - e.get().len();
+        if e.get().is_empty() {
+            e.remove();
+        }
         self.len -= removed;
-        self.remove_if_empty(key);
         removed > 0
     }
 
-    fn remove_if_empty(&mut self, key: Handle) {
-        fn remove(node: &mut Option<Box<Node>>, key: Handle) {
-            let Some(n) = node else { return };
-            if key < n.key {
-                remove(&mut n.left, key);
-            } else if key > n.key {
-                remove(&mut n.right, key);
-            } else if n.waiters.is_empty() {
-                // Rotate the node down until it is a leaf, then drop it.
-                match (n.left.as_ref(), n.right.as_ref()) {
-                    (None, None) => *node = None,
-                    (Some(_), None) => {
-                        SemaTreap::rotate_right(node);
-                        remove(&mut node.as_mut().expect("rotated").right, key);
-                    }
-                    (None, Some(_)) => {
-                        SemaTreap::rotate_left(node);
-                        remove(&mut node.as_mut().expect("rotated").left, key);
-                    }
-                    (Some(l), Some(r)) => {
-                        if l.priority > r.priority {
-                            SemaTreap::rotate_right(node);
-                            remove(&mut node.as_mut().expect("rotated").right, key);
-                        } else {
-                            SemaTreap::rotate_left(node);
-                            remove(&mut node.as_mut().expect("rotated").left, key);
-                        }
-                    }
-                }
-            }
-        }
-        remove(&mut self.root, key);
-    }
-
     /// The waiters currently parked on `sema`, in FIFO order.
-    pub fn waiters(&self, sema: Handle) -> Vec<SemaWaiter> {
-        self.find(sema.masked()).map(|n| n.waiters.iter().copied().collect()).unwrap_or_default()
+    pub fn waiters(&self, sema: Handle) -> impl Iterator<Item = SemaWaiter> + '_ {
+        self.queues.get(&sema.masked()).into_iter().flatten().copied()
     }
 
-    /// Iterates over the (masked) keys present in the table — exposed so the
-    /// GC's global scan can demonstrate that masked handles are skipped.
+    /// Iterates in ascending order over the (masked) keys present in the
+    /// table — exposed so the GC's global scan can demonstrate that masked
+    /// handles are skipped.
     pub fn keys(&self) -> impl Iterator<Item = Handle> + '_ {
-        let mut out = Vec::new();
-        fn walk(node: Option<&Node>, out: &mut Vec<Handle>) {
-            if let Some(n) = node {
-                walk(n.left.as_deref(), out);
-                out.push(n.key);
-                walk(n.right.as_deref(), out);
-            }
-        }
-        walk(self.root.as_deref(), &mut out);
-        out.into_iter()
-    }
-
-    #[cfg(test)]
-    fn assert_invariants(&self) {
-        fn walk(node: Option<&Node>, lo: Option<Handle>, hi: Option<Handle>) -> usize {
-            let Some(n) = node else { return 0 };
-            assert!(lo.is_none_or(|lo| n.key > lo), "BST order violated");
-            assert!(hi.is_none_or(|hi| n.key < hi), "BST order violated");
-            assert!(n.left.as_ref().is_none_or(|l| l.priority <= n.priority), "heap order");
-            assert!(n.right.as_ref().is_none_or(|r| r.priority <= n.priority), "heap order");
-            assert!(n.key.is_masked(), "unmasked key in treap");
-            n.waiters.len()
-                + walk(n.left.as_deref(), lo, Some(n.key))
-                + walk(n.right.as_deref(), Some(n.key), hi)
-        }
-        let counted = walk(self.root.as_deref(), None, None);
-        assert_eq!(counted, self.len, "len out of sync");
+        self.queues.keys().copied()
     }
 }
 
@@ -273,10 +129,14 @@ mod tests {
         (heap, hs)
     }
 
+    fn waiters(t: &SemaTable, h: Handle) -> Vec<SemaWaiter> {
+        t.waiters(h).collect()
+    }
+
     #[test]
     fn fifo_per_key() {
         let (_heap, hs) = semas(1);
-        let mut t = SemaTreap::new(1);
+        let mut t = SemaTable::default();
         t.enqueue(hs[0], SemaWaiter { gid: gid(1), token: 10 });
         t.enqueue(hs[0], SemaWaiter { gid: gid(2), token: 20 });
         assert_eq!(t.len(), 2);
@@ -284,32 +144,32 @@ mod tests {
         assert_eq!(t.dequeue_first(hs[0]).unwrap().gid, gid(2));
         assert_eq!(t.dequeue_first(hs[0]), None);
         assert!(t.is_empty());
-        t.assert_invariants();
+        assert_eq!(t.keys().count(), 0);
     }
 
     #[test]
     fn many_keys_stay_ordered() {
         let (_heap, hs) = semas(50);
-        let mut t = SemaTreap::new(7);
+        let mut t = SemaTable::default();
         for (i, h) in hs.iter().enumerate() {
             t.enqueue(*h, SemaWaiter { gid: gid(i as u32), token: i as u64 });
-            t.assert_invariants();
         }
         assert_eq!(t.len(), 50);
         for (i, h) in hs.iter().enumerate() {
-            assert_eq!(t.waiters(*h), vec![SemaWaiter { gid: gid(i as u32), token: i as u64 }]);
+            assert_eq!(waiters(&t, *h), vec![SemaWaiter { gid: gid(i as u32), token: i as u64 }]);
         }
         // Drain in a scattered order.
         for h in hs.iter().step_by(3) {
             assert!(t.dequeue_first(*h).is_some());
-            t.assert_invariants();
         }
+        assert_eq!(t.keys().count(), 50 - hs.iter().step_by(3).count());
+        assert!(t.keys().zip(t.keys().skip(1)).all(|(a, b)| a < b), "keys ascend");
     }
 
     #[test]
     fn dequeue_all_drains() {
         let (_heap, hs) = semas(2);
-        let mut t = SemaTreap::new(3);
+        let mut t = SemaTable::default();
         for i in 0..5 {
             t.enqueue(hs[0], SemaWaiter { gid: gid(i), token: 0 });
         }
@@ -318,25 +178,27 @@ mod tests {
         assert_eq!(all.len(), 5);
         assert_eq!(all[0].gid, gid(0), "FIFO order preserved");
         assert_eq!(t.len(), 1);
-        t.assert_invariants();
+        assert_eq!(t.keys().count(), 1);
     }
 
     #[test]
     fn remove_goroutine_unlinks() {
         let (_heap, hs) = semas(1);
-        let mut t = SemaTreap::new(5);
+        let mut t = SemaTable::default();
         t.enqueue(hs[0], SemaWaiter { gid: gid(1), token: 0 });
         t.enqueue(hs[0], SemaWaiter { gid: gid(2), token: 0 });
         assert!(t.remove_goroutine(hs[0], gid(1)));
         assert!(!t.remove_goroutine(hs[0], gid(1)), "second removal is a no-op");
-        assert_eq!(t.waiters(hs[0]), vec![SemaWaiter { gid: gid(2), token: 0 }]);
-        t.assert_invariants();
+        assert_eq!(waiters(&t, hs[0]), vec![SemaWaiter { gid: gid(2), token: 0 }]);
+        assert!(t.remove_goroutine(hs[0], gid(2)));
+        assert!(t.is_empty());
+        assert_eq!(t.keys().count(), 0);
     }
 
     #[test]
     fn keys_are_masked() {
         let (_heap, hs) = semas(3);
-        let mut t = SemaTreap::new(9);
+        let mut t = SemaTable::default();
         for h in &hs {
             t.enqueue(*h, SemaWaiter { gid: gid(0), token: 0 });
         }
@@ -347,8 +209,8 @@ mod tests {
     #[test]
     fn empty_key_queries() {
         let (_heap, hs) = semas(1);
-        let mut t = SemaTreap::new(11);
-        assert!(t.waiters(hs[0]).is_empty());
+        let mut t = SemaTable::default();
+        assert_eq!(t.waiters(hs[0]).count(), 0);
         assert_eq!(t.dequeue_first(hs[0]), None);
         assert!(t.dequeue_all(hs[0]).is_empty());
         assert!(!t.remove_goroutine(hs[0], gid(0)));

@@ -1,7 +1,7 @@
 //! `sync` package semantics: Mutex, RWMutex, WaitGroup, Cond.
 //!
 //! All blocking goes through runtime semaphores registered in the global
-//! [`SemaTreap`](crate::SemaTreap), exactly as Go's `sync` primitives park
+//! [`SemaTable`](crate::SemaTable), exactly as Go's `sync` primitives park
 //! on `runtime_SemacquireMutex`. Consequently `B(g)` for a `sync`-blocked
 //! goroutine is the semaphore handle, and reachability of the primitive
 //! (which traces its semaphores) is what keeps the goroutine reachably live.
@@ -17,7 +17,7 @@ use golf_trace::TraceEvent;
 impl Vm {
     fn park_on_sema(&mut self, gid: Gid, sema: Handle, reason: WaitReason) -> Exec {
         let token = self.park(gid, reason, Blocked::Sema(sema));
-        self.treap.enqueue(sema, SemaWaiter { gid, token });
+        self.semas.enqueue(sema, SemaWaiter { gid, token });
         if self.trace_enabled() {
             self.trace_emit(TraceEvent::SemaEnqueue { gid: go_id(gid), sema });
         }
@@ -26,7 +26,7 @@ impl Vm {
 
     /// Pops the first still-parked waiter from a semaphore queue.
     fn dequeue_valid(&mut self, sema: Handle) -> Option<SemaWaiter> {
-        while let Some(w) = self.treap.dequeue_first(sema) {
+        while let Some(w) = self.semas.dequeue_first(sema) {
             if self.waiter_valid(w.gid, w.token) {
                 if self.trace_enabled() {
                     self.trace_emit(TraceEvent::SemaDequeue { gid: go_id(w.gid), sema });
@@ -82,7 +82,7 @@ impl Vm {
     // ---- RWMutex ----
 
     fn has_valid_waiter(&self, sema: Handle) -> bool {
-        self.treap.waiters(sema).iter().any(|w| self.waiter_valid(w.gid, w.token))
+        self.semas.waiters(sema).any(|w| self.waiter_valid(w.gid, w.token))
     }
 
     pub(crate) fn exec_rlock(&mut self, gid: Gid, rwv: Value) -> Exec {
@@ -190,7 +190,7 @@ impl Vm {
             return self.goroutine_panic(gid, "sync: negative WaitGroup counter");
         }
         if count == 0 {
-            let waiters = self.treap.dequeue_all(sema);
+            let waiters = self.semas.dequeue_all(sema);
             for w in waiters {
                 if self.wake(w.gid, w.token) && self.trace_enabled() {
                     self.trace_emit(TraceEvent::SemaDequeue { gid: go_id(w.gid), sema });
@@ -248,7 +248,7 @@ impl Vm {
         };
         let sema = c.sema;
         if broadcast {
-            let waiters = self.treap.dequeue_all(sema);
+            let waiters = self.semas.dequeue_all(sema);
             for w in waiters {
                 if self.wake(w.gid, w.token) && self.trace_enabled() {
                     self.trace_emit(TraceEvent::SemaDequeue { gid: go_id(w.gid), sema });

@@ -4,7 +4,7 @@
 use crate::func::{FuncId, ProgramSet, SiteId};
 use crate::goroutine::{Blocked, GStatus, Gid, Goroutine, WaitReason};
 use crate::object::Object;
-use crate::sema::SemaTreap;
+use crate::sema::SemaTable;
 use crate::value::{Value, Var};
 use golf_heap::{Handle, Heap};
 use golf_trace::{BufferSink, GoId, TraceEvent, Tracer};
@@ -64,7 +64,7 @@ pub struct VmConfig {
     /// round (Go's `GOMAXPROCS`).
     pub gomaxprocs: usize,
     /// Seed for all runtime nondeterminism (scheduling, select choice,
-    /// treap priorities, `RandInt`).
+    /// `RandInt`).
     pub seed: u64,
     /// Maximum instructions a goroutine executes per scheduling slot; the
     /// actual quantum is drawn uniformly from `1..=max_quantum`, modeling
@@ -206,7 +206,7 @@ pub struct Vm {
     pub(crate) goroutines: Vec<Goroutine>,
     pub(crate) gfree: Vec<u32>,
     pub(crate) globals: Vec<Value>,
-    pub(crate) treap: SemaTreap,
+    pub(crate) semas: SemaTable,
     pub(crate) run_queue: VecDeque<Gid>,
     pub(crate) queued: Vec<bool>,
     /// Pending timers and sleepers, keyed by the tick they fall due.
@@ -255,7 +255,7 @@ impl Vm {
             goroutines: Vec::new(),
             gfree: Vec::new(),
             globals,
-            treap: SemaTreap::new(config.seed ^ 0x5E3A_7EAF),
+            semas: SemaTable::default(),
             run_queue: VecDeque::new(),
             queued: Vec::new(),
             alarms: BinaryHeap::new(),
@@ -541,7 +541,7 @@ impl Vm {
     }
 
     /// Whether a waiter entry `(gid, token)` still refers to a parked
-    /// goroutine (used to lazily skip stale channel/treap entries).
+    /// goroutine (used to lazily skip stale channel/semaphore entries).
     pub(crate) fn waiter_valid(&self, gid: Gid, token: u64) -> bool {
         self.goroutine(gid).is_some_and(|g| g.status.is_waiting() && g.wait_token == token)
     }
@@ -569,7 +569,7 @@ impl Vm {
 
     /// GOLF's forced shutdown of a deadlocked goroutine (paper §5.4,
     /// "Goroutine Reuse" + "Semaphores"): unlink it from every channel wait
-    /// queue and from the semaphore treap, run the special cleanup that
+    /// queue and from the semaphore table, run the special cleanup that
     /// resets select state, and recycle the slot.
     pub fn force_shutdown(&mut self, gid: Gid) {
         let Some(g) = self.g_mut(gid) else { return };
@@ -583,7 +583,7 @@ impl Vm {
                 }
             }
             Blocked::Sema(sema) => {
-                self.treap.remove_goroutine(sema, gid);
+                self.semas.remove_goroutine(sema, gid);
             }
             Blocked::None | Blocked::Epsilon => {}
         }
@@ -648,7 +648,7 @@ impl Vm {
     }
 
     /// The goroutines currently parked on a concurrency object — the wait
-    /// queues of a channel, or the semaphore treap entries of a `sync`
+    /// queues of a channel, or the semaphore table entries of a `sync`
     /// primitive's semaphore. Stale entries are filtered. This is the
     /// "blocking channel always stores references to the goroutines
     /// blocked by it" observation the paper's §5.3 optimization builds on.
@@ -663,7 +663,7 @@ impl Vm {
                 }
             }
             Some(Object::Sema) => {
-                for w in self.treap.waiters(h) {
+                for w in self.semas.waiters(h) {
                     if self.waiter_valid(w.gid, w.token) {
                         out.push(w.gid);
                     }

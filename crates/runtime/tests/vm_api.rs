@@ -132,7 +132,7 @@ fn waiters_on_reports_channel_and_sema_queues() {
             assert!(waiters.contains(&gid), "waiters_on must list the parked goroutine");
             match vm.heap().get(h).map(golf_heap::Trace::kind) {
                 Some("chan") => chan_waiters += waiters.len(),
-                Some("runtime.sema") => sema_waiters += waiters.len(),
+                Some("sema") => sema_waiters += waiters.len(),
                 other => panic!("unexpected blocking object {other:?}"),
             }
         }

@@ -115,7 +115,8 @@ pub enum TraceEvent {
     SemaEnqueue {
         /// The waiting goroutine.
         gid: GoId,
-        /// The semaphore's masked handle, as keyed in the global treap.
+        /// The semaphore object's handle, unmasked (the global semaphore
+        /// table keys it masked).
         sema: Handle,
     },
     /// A goroutine was dequeued from a runtime semaphore and handed the lock
@@ -123,7 +124,7 @@ pub enum TraceEvent {
     SemaDequeue {
         /// The dequeued goroutine.
         gid: GoId,
-        /// The semaphore's masked handle.
+        /// The semaphore object's handle, unmasked.
         sema: Handle,
     },
     /// A garbage-collection phase began.

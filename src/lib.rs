@@ -9,7 +9,7 @@
 //!
 //! * [`heap`] — handle-based managed heap (mark bits, finalizers, stats).
 //! * [`runtime`] — the GoVM: goroutines, channels, `select`, `sync`
-//!   primitives, a semaphore treap, timers, and a deterministic scheduler
+//!   primitives, a semaphore table, timers, and a deterministic scheduler
 //!   with `GOMAXPROCS`-style virtual cores.
 //! * [`core`] — the collector: baseline tricolor mark-sweep plus the GOLF
 //!   extension (reachable-liveness fixed point, deadlock detection,
