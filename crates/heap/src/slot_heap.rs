@@ -97,18 +97,6 @@ impl<O: Trace, F> Heap<O, F> {
         }
     }
 
-    /// Creates an empty heap with room for `cap` objects before reallocating.
-    pub fn with_capacity(cap: usize) -> Self {
-        Heap {
-            slots: Vec::with_capacity(cap),
-            free: Vec::new(),
-            marks: MarkBits::new(),
-            allocated: MarkBits::new(),
-            mutation_epoch: 0,
-            stats: HeapStats::default(),
-        }
-    }
-
     /// Allocates `obj`, returning its handle. Reusing a swept slot drops the
     /// dead object it still holds.
     pub fn alloc(&mut self, obj: O) -> Handle {

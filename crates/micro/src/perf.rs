@@ -6,27 +6,23 @@ use golf_core::Session;
 use golf_metrics::BoxPlot;
 use golf_runtime::{PanicPolicy, Vm, VmConfig};
 
-/// Settings for the perf comparison.
+/// Settings for the perf comparison. Like the paper, it runs one instance
+/// of each program at one core ([`VmConfig`]'s default `gomaxprocs`); more
+/// instances would add live blocked goroutines whose liveness checks shift
+/// the correct-program slowdowns above the paper's.
 #[derive(Debug, Clone)]
 pub struct PerfSettings {
     /// Repetitions per (program, collector) pair (the paper uses 5).
     pub repetitions: u32,
-    /// Virtual cores (the paper measures at one core).
-    pub procs: usize,
     /// Tick budget per run.
     pub tick_budget: u64,
     /// Base seed.
     pub seed: u64,
-    /// Concurrent benchmark instances per program. The paper measures one
-    /// instance per program; raising this grows heaps (steadier timing) but
-    /// also adds live blocked goroutines whose liveness checks shift the
-    /// correct-program slowdowns above the paper's.
-    pub instances: usize,
 }
 
 impl Default for PerfSettings {
     fn default() -> Self {
-        PerfSettings { repetitions: 5, procs: 1, tick_budget: 3_000, seed: 0xF16, instances: 1 }
+        PerfSettings { repetitions: 5, tick_budget: 3_000, seed: 0xF16 }
     }
 }
 
@@ -69,9 +65,8 @@ fn measure(build: BuildFn, golf: bool, s: &PerfSettings) -> (f64, u64) {
     let mut cycles_total = 0u64;
     for rep in 0..s.repetitions {
         let vm = Vm::boot(
-            build(s.instances.max(1)),
+            build(1),
             VmConfig {
-                gomaxprocs: s.procs,
                 seed: s.seed.wrapping_add(u64::from(rep)),
                 panic_policy: PanicPolicy::KillGoroutine,
                 ..VmConfig::default()

@@ -8,11 +8,12 @@
 
 use crate::goroutine::{Blocked, Gid, WaitReason};
 use crate::instr::{SelOp, SelectCase};
-use crate::object::{ChanState, Object, WaitKind, Waiter};
+use crate::object::{ChanState, Object, RecvSlots, Waiter};
 use crate::value::{Value, Var};
 use crate::vm::{go_id, Exec, Vm};
 use golf_trace::TraceEvent;
 use rand::Rng;
+use std::collections::VecDeque;
 
 impl Vm {
     fn chan_mut(&mut self, h: golf_heap::Handle) -> Option<&mut ChanState> {
@@ -29,19 +30,16 @@ impl Vm {
         }
     }
 
-    /// Pops the first *valid* waiter from a channel queue, skipping entries
-    /// whose goroutine was already woken through another select case or
-    /// killed (lazy sudog invalidation).
-    fn pop_valid_waiter(&mut self, ch: golf_heap::Handle, recv_side: bool) -> Option<Waiter> {
+    /// Pops the first *valid* waiter from the channel queue `queue` picks,
+    /// skipping entries whose goroutine was already woken through another
+    /// select case or killed (lazy sudog invalidation).
+    fn pop_valid<T>(
+        &mut self,
+        ch: golf_heap::Handle,
+        queue: impl Fn(&mut ChanState) -> &mut VecDeque<Waiter<T>>,
+    ) -> Option<Waiter<T>> {
         loop {
-            let w = {
-                let c = self.chan_mut(ch)?;
-                if recv_side {
-                    c.recvq.pop_front()
-                } else {
-                    c.sendq.pop_front()
-                }
-            }?;
+            let w = queue(self.chan_mut(ch)?).pop_front()?;
             if self.waiter_valid(w.gid, w.token) {
                 return Some(w);
             }
@@ -62,13 +60,8 @@ impl Vm {
             return self.goroutine_panic(gid, "send on closed channel");
         }
         // Rendezvous with a waiting receiver.
-        if let Some(w) = self.pop_valid_waiter(h, true) {
-            let (dst, ok_dst) = match w.kind {
-                WaitKind::Recv { dst, ok_dst } => (dst, ok_dst),
-                WaitKind::Send(_) => unreachable!("sender in recvq"),
-            };
-            self.deliver(w.gid, dst, ok_dst, v, true, w.select_target);
-            self.wake(w.gid, w.token);
+        if let Some(w) = self.pop_valid(h, |c| &mut c.recvq) {
+            self.resume_receiver(&w, v, true);
             if self.trace_enabled() {
                 self.trace_emit(TraceEvent::ChanSend { gid: go_id(gid), chan: h });
             }
@@ -89,7 +82,7 @@ impl Vm {
         // Block.
         let token = self.park(gid, WaitReason::ChanSend, Blocked::Chans(vec![h]));
         let c = self.chan_mut(h).expect("checked above");
-        c.sendq.push_back(Waiter { gid, token, kind: WaitKind::Send(v), select_target: None });
+        c.sendq.push_back(Waiter { gid, token, op: v, select_target: None });
         Exec::Parked
     }
 
@@ -105,77 +98,44 @@ impl Vm {
             self.park(gid, WaitReason::ChanReceiveNilChan, Blocked::Epsilon);
             return Exec::Parked;
         };
-        if self.chan_ref(h).is_none() {
+        let Some(c) = self.chan_mut(h) else {
             return self.goroutine_panic(gid, "receive on non-channel value");
-        }
-        // Buffered value available.
-        let buffered = self.chan_mut(h).expect("checked").buf.pop_front();
-        if let Some(v) = buffered {
+        };
+        let (buffered, closed) = (c.buf.pop_front(), c.closed);
+        let (v, ok) = if let Some(v) = buffered {
             // Refill the buffer from a parked sender, if any.
-            if let Some(w) = self.pop_valid_waiter(h, false) {
-                let sent = match w.kind {
-                    WaitKind::Send(v) => v,
-                    WaitKind::Recv { .. } => unreachable!("receiver in sendq"),
-                };
-                self.chan_mut(h).expect("checked").buf.push_back(sent);
-                if let Some(t) = w.select_target {
-                    self.deliver(w.gid, None, None, Value::Nil, true, Some(t));
-                }
-                self.wake(w.gid, w.token);
+            if let Some(w) = self.pop_valid(h, |c| &mut c.sendq) {
+                self.chan_mut(h).expect("checked").buf.push_back(w.op);
+                self.resume(&w);
             }
             self.heap.refresh_size(h);
-            if let Some(d) = dst {
-                self.write_var(gid, d, v);
-            }
-            if let Some(o) = ok_dst {
-                self.write_var(gid, o, Value::Bool(true));
-            }
-            if self.trace_enabled() {
-                self.trace_emit(TraceEvent::ChanRecv { gid: go_id(gid), chan: h });
-            }
-            return Exec::Continue;
+            (v, true)
+        } else if let Some(w) = self.pop_valid(h, |c| &mut c.sendq) {
+            // Rendezvous with a parked sender (unbuffered, or racing on an
+            // empty buffer).
+            self.resume(&w);
+            (w.op, true)
+        } else if closed {
+            // Closed and drained: zero value, ok = false.
+            (Value::Nil, false)
+        } else {
+            // Block.
+            let token = self.park(gid, WaitReason::ChanReceive, Blocked::Chans(vec![h]));
+            let c = self.chan_mut(h).expect("checked");
+            let op = RecvSlots { dst, ok_dst };
+            c.recvq.push_back(Waiter { gid, token, op, select_target: None });
+            return Exec::Parked;
+        };
+        if let Some(d) = dst {
+            self.write_var(gid, d, v);
         }
-        // Rendezvous with a parked sender (unbuffered, or racing on empty buffer).
-        if let Some(w) = self.pop_valid_waiter(h, false) {
-            let sent = match w.kind {
-                WaitKind::Send(v) => v,
-                WaitKind::Recv { .. } => unreachable!("receiver in sendq"),
-            };
-            if let Some(t) = w.select_target {
-                self.deliver(w.gid, None, None, Value::Nil, true, Some(t));
-            }
-            self.wake(w.gid, w.token);
-            if let Some(d) = dst {
-                self.write_var(gid, d, sent);
-            }
-            if let Some(o) = ok_dst {
-                self.write_var(gid, o, Value::Bool(true));
-            }
-            if self.trace_enabled() {
-                self.trace_emit(TraceEvent::ChanRecv { gid: go_id(gid), chan: h });
-            }
-            return Exec::Continue;
+        if let Some(o) = ok_dst {
+            self.write_var(gid, o, Value::Bool(ok));
         }
-        // Closed and drained: zero value, ok = false.
-        if self.chan_ref(h).expect("checked").closed {
-            if let Some(d) = dst {
-                self.write_var(gid, d, Value::Nil);
-            }
-            if let Some(o) = ok_dst {
-                self.write_var(gid, o, Value::Bool(false));
-            }
-            return Exec::Continue;
+        if ok && self.trace_enabled() {
+            self.trace_emit(TraceEvent::ChanRecv { gid: go_id(gid), chan: h });
         }
-        // Block.
-        let token = self.park(gid, WaitReason::ChanReceive, Blocked::Chans(vec![h]));
-        let c = self.chan_mut(h).expect("checked");
-        c.recvq.push_back(Waiter {
-            gid,
-            token,
-            kind: WaitKind::Recv { dst, ok_dst },
-            select_target: None,
-        });
-        Exec::Parked
+        Exec::Continue
     }
 
     /// `close(ch)`.
@@ -195,24 +155,21 @@ impl Vm {
         }
         // Wake every parked receiver with the zero value (buffer is
         // necessarily empty when receivers are parked).
-        while let Some(w) = self.pop_valid_waiter(h, true) {
-            let (dst, ok_dst) = match w.kind {
-                WaitKind::Recv { dst, ok_dst } => (dst, ok_dst),
-                WaitKind::Send(_) => unreachable!("sender in recvq"),
-            };
-            self.deliver(w.gid, dst, ok_dst, Value::Nil, false, w.select_target);
-            self.wake(w.gid, w.token);
+        while let Some(w) = self.pop_valid(h, |c| &mut c.recvq) {
+            self.resume_receiver(&w, Value::Nil, false);
         }
         // Parked senders observe the close and panic (Go semantics).
         let mut panicking = Vec::new();
-        while let Some(w) = self.pop_valid_waiter(h, false) {
+        while let Some(w) = self.pop_valid(h, |c| &mut c.sendq) {
             panicking.push(w);
         }
         for w in panicking {
-            if let Some(t) = w.select_target {
-                self.deliver(w.gid, None, None, Value::Nil, false, Some(t));
+            // A select with several send arms on this channel is queued once
+            // per arm; only its first entry panics it.
+            if !self.waiter_valid(w.gid, w.token) {
+                continue;
             }
-            self.wake(w.gid, w.token);
+            self.resume(&w);
             if let e @ Exec::Finished = self.goroutine_panic(w.gid, "send on closed channel") {
                 if self.fatal.is_some() {
                     return e;
@@ -307,22 +264,18 @@ impl Vm {
             g.dirty_select_state = true;
         }
         for (h, case) in chans {
-            let waiter = match &case.op {
+            let select_target = Some(case.target);
+            match case.op {
                 SelOp::Send { val, .. } => {
-                    let v = self.read_var(gid, *val);
-                    Waiter { gid, token, kind: WaitKind::Send(v), select_target: Some(case.target) }
+                    let op = self.read_var(gid, val);
+                    let c = self.chan_mut(h).expect("validated above");
+                    c.sendq.push_back(Waiter { gid, token, op, select_target });
                 }
-                SelOp::Recv { dst, ok_dst, .. } => Waiter {
-                    gid,
-                    token,
-                    kind: WaitKind::Recv { dst: *dst, ok_dst: *ok_dst },
-                    select_target: Some(case.target),
-                },
-            };
-            let c = self.chan_mut(h).expect("validated above");
-            match waiter.kind {
-                WaitKind::Send(_) => c.sendq.push_back(waiter),
-                WaitKind::Recv { .. } => c.recvq.push_back(waiter),
+                SelOp::Recv { dst, ok_dst, .. } => {
+                    let op = RecvSlots { dst, ok_dst };
+                    let c = self.chan_mut(h).expect("validated above");
+                    c.recvq.push_back(Waiter { gid, token, op, select_target });
+                }
             }
         }
         Exec::Parked
@@ -336,13 +289,8 @@ impl Vm {
             return;
         }
         let now = Value::Int(self.tick as i64);
-        if let Some(w) = self.pop_valid_waiter(ch, true) {
-            let (dst, ok_dst) = match w.kind {
-                WaitKind::Recv { dst, ok_dst } => (dst, ok_dst),
-                WaitKind::Send(_) => unreachable!("sender in recvq"),
-            };
-            self.deliver(w.gid, dst, ok_dst, now, true, w.select_target);
-            self.wake(w.gid, w.token);
+        if let Some(w) = self.pop_valid(ch, |c| &mut c.recvq) {
+            self.resume_receiver(&w, now, true);
             return;
         }
         let c = self.chan_mut(ch).expect("checked");

@@ -83,7 +83,7 @@ pub use func::{FuncId, Function, GlobalId, ProgramSet, SiteId, SiteInfo, StructT
 pub use goroutine::{Blocked, Frame, GStatus, Gid, Goroutine, WaitReason};
 pub use instr::{BinOp, Instr, SelOp, SelectCase};
 pub use object::{
-    ChanState, CondState, MutexState, Object, RwLockState, SliceVals, TypeId, WaitKind, Waiter,
+    ChanState, CondState, MutexState, Object, RecvSlots, RwLockState, SliceVals, TypeId, Waiter,
     WgState,
 };
 pub use sched::SchedPolicy;

@@ -12,37 +12,34 @@ use std::ops::Deref;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TypeId(pub(crate) u32);
 
-/// What a parked goroutine is waiting to do on a channel, and where the
-/// waker should deliver the result.
+/// A goroutine parked on a channel, and what it parked with: `op` is the
+/// value a sender carries ([`Value`]) or the slots a receiver's result goes
+/// to ([`RecvSlots`]).
 ///
 /// This is the analogue of Go's `sudog`: an entry in a channel wait queue.
-/// Entries carry a `token` so queues can be cleaned lazily — a waiter whose
-/// goroutine has since been woken through another channel (select) or killed
-/// is simply skipped when popped.
+/// Each queue holds one direction, so its type says which. Entries carry a
+/// `token` so queues can be cleaned lazily — a waiter whose goroutine has
+/// since been woken through another channel (select) or killed is simply
+/// skipped when popped.
 #[derive(Debug, Clone)]
-pub struct Waiter {
+pub struct Waiter<T> {
     /// The parked goroutine.
     pub gid: Gid,
     /// The goroutine's wait token at park time; stale entries are skipped.
     pub token: u64,
-    /// What the goroutine is waiting to do.
-    pub kind: WaitKind,
+    /// The sent value, or where the received one goes.
+    pub op: T,
     /// For select cases: the pc to resume at when this case fires.
     pub select_target: Option<usize>,
 }
 
-/// The direction of a parked channel operation.
-#[derive(Debug, Clone)]
-pub enum WaitKind {
-    /// A parked sender carrying its value.
-    Send(Value),
-    /// A parked receiver and the destination slots in its top frame.
-    Recv {
-        /// Where to store the received value (if bound).
-        dst: Option<Var>,
-        /// Where to store the comma-ok flag (if bound).
-        ok_dst: Option<Var>,
-    },
+/// Where a parked receiver's result goes, in its top frame.
+#[derive(Debug, Clone, Copy)]
+pub struct RecvSlots {
+    /// Where to store the received value (if bound).
+    pub dst: Option<Var>,
+    /// Where to store the comma-ok flag (if bound).
+    pub ok_dst: Option<Var>,
 }
 
 /// Channel state: a bounded FIFO plus send/receive wait queues.
@@ -54,10 +51,10 @@ pub struct ChanState {
     pub buf: VecDeque<Value>,
     /// Whether [`close`](crate::Vm) has been called.
     pub closed: bool,
-    /// Parked senders, FIFO.
-    pub sendq: VecDeque<Waiter>,
-    /// Parked receivers, FIFO.
-    pub recvq: VecDeque<Waiter>,
+    /// Parked senders and their values, FIFO.
+    pub sendq: VecDeque<Waiter<Value>>,
+    /// Parked receivers and their result slots, FIFO.
+    pub recvq: VecDeque<Waiter<RecvSlots>>,
 }
 
 /// `sync.Mutex` state. Blocking goes through the runtime semaphore so that
@@ -240,7 +237,7 @@ impl Trace for Object {
                 // channel (they are on the sender's stack too, but a select
                 // sender may have been woken through another case).
                 for w in &c.sendq {
-                    if let WaitKind::Send(Value::Ref(h)) = w.kind {
+                    if let Value::Ref(h) = w.op {
                         visit(h);
                     }
                 }

@@ -24,17 +24,28 @@ impl Vm {
         Exec::Parked
     }
 
-    /// Pops the first still-parked waiter from a semaphore queue.
-    fn dequeue_valid(&mut self, sema: Handle) -> Option<SemaWaiter> {
+    /// Wakes the first still-parked waiter on `sema`, skipping stale
+    /// entries, and returns its goroutine.
+    fn wake_one(&mut self, sema: Handle) -> Option<Gid> {
         while let Some(w) = self.semas.dequeue_first(sema) {
             if self.waiter_valid(w.gid, w.token) {
                 if self.trace_enabled() {
                     self.trace_emit(TraceEvent::SemaDequeue { gid: go_id(w.gid), sema });
                 }
-                return Some(w);
+                self.wake(w.gid, w.token);
+                return Some(w.gid);
             }
         }
         None
+    }
+
+    /// Empties the queue of `sema`, waking every still-parked waiter.
+    fn wake_all(&mut self, sema: Handle) {
+        for w in self.semas.dequeue_all(sema) {
+            if self.wake(w.gid, w.token) && self.trace_enabled() {
+                self.trace_emit(TraceEvent::SemaDequeue { gid: go_id(w.gid), sema });
+            }
+        }
     }
 
     // ---- Mutex ----
@@ -66,12 +77,11 @@ impl Vm {
             return self.goroutine_panic(gid, "sync: unlock of unlocked mutex");
         }
         let sema = m.sema;
-        if let Some(w) = self.dequeue_valid(sema) {
+        if let Some(next) = self.wake_one(sema) {
             // Direct ownership handoff, like Go's starvation-mode mutex.
             if let Some(Object::Mutex(m)) = self.heap.get_mut(h) {
-                m.owner = Some(w.gid);
+                m.owner = Some(next);
             }
-            self.wake(w.gid, w.token);
         } else if let Some(Object::Mutex(m)) = self.heap.get_mut(h) {
             m.locked = false;
             m.owner = None;
@@ -119,12 +129,9 @@ impl Vm {
             rw.readers -= 1;
             rw.readers
         };
-        if remaining == 0 {
-            if let Some(w) = self.dequeue_valid(wsema) {
-                if let Some(Object::RwLock(rw)) = self.heap.get_mut(h) {
-                    rw.writer = true;
-                }
-                self.wake(w.gid, w.token);
+        if remaining == 0 && self.wake_one(wsema).is_some() {
+            if let Some(Object::RwLock(rw)) = self.heap.get_mut(h) {
+                rw.writer = true;
             }
         }
         Exec::Continue
@@ -159,13 +166,11 @@ impl Vm {
         }
         let (rsema, wsema) = (rw.rsema, rw.wsema);
         // Prefer handing off to the next writer; otherwise admit all readers.
-        if let Some(w) = self.dequeue_valid(wsema) {
-            self.wake(w.gid, w.token);
+        if self.wake_one(wsema).is_some() {
             return Exec::Continue;
         }
         let mut admitted = 0;
-        while let Some(w) = self.dequeue_valid(rsema) {
-            self.wake(w.gid, w.token);
+        while self.wake_one(rsema).is_some() {
             admitted += 1;
         }
         if let Some(Object::RwLock(rw)) = self.heap.get_mut(h) {
@@ -190,12 +195,7 @@ impl Vm {
             return self.goroutine_panic(gid, "sync: negative WaitGroup counter");
         }
         if count == 0 {
-            let waiters = self.semas.dequeue_all(sema);
-            for w in waiters {
-                if self.wake(w.gid, w.token) && self.trace_enabled() {
-                    self.trace_emit(TraceEvent::SemaDequeue { gid: go_id(w.gid), sema });
-                }
-            }
+            self.wake_all(sema);
         }
         Exec::Continue
     }
@@ -248,14 +248,9 @@ impl Vm {
         };
         let sema = c.sema;
         if broadcast {
-            let waiters = self.semas.dequeue_all(sema);
-            for w in waiters {
-                if self.wake(w.gid, w.token) && self.trace_enabled() {
-                    self.trace_emit(TraceEvent::SemaDequeue { gid: go_id(w.gid), sema });
-                }
-            }
-        } else if let Some(w) = self.dequeue_valid(sema) {
-            self.wake(w.gid, w.token);
+            self.wake_all(sema);
+        } else {
+            self.wake_one(sema);
         }
         Exec::Continue
     }

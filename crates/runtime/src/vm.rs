@@ -3,7 +3,7 @@
 
 use crate::func::{FuncId, ProgramSet, SiteId};
 use crate::goroutine::{Blocked, GStatus, Gid, Goroutine, WaitReason};
-use crate::object::Object;
+use crate::object::{Object, RecvSlots, Waiter};
 use crate::sema::SemaTable;
 use crate::value::{Value, Var};
 use golf_heap::{Handle, Heap};
@@ -656,9 +656,11 @@ impl Vm {
         let mut out = Vec::new();
         match self.heap.get(h) {
             Some(Object::Chan(c)) => {
-                for w in c.sendq.iter().chain(c.recvq.iter()) {
-                    if self.waiter_valid(w.gid, w.token) {
-                        out.push(w.gid);
+                let sends = c.sendq.iter().map(|w| (w.gid, w.token));
+                let recvs = c.recvq.iter().map(|w| (w.gid, w.token));
+                for (gid, token) in sends.chain(recvs) {
+                    if self.waiter_valid(gid, token) {
+                        out.push(gid);
                     }
                 }
             }
@@ -710,29 +712,27 @@ impl Vm {
         frame.locals[var.index()] = val;
     }
 
-    /// Writes into the *top frame* of a parked goroutine (delivery by a
-    /// waker) and optionally redirects its pc (select case resume).
-    pub(crate) fn deliver(
-        &mut self,
-        gid: Gid,
-        dst: Option<Var>,
-        ok_dst: Option<Var>,
-        val: Value,
-        ok: bool,
-        select_target: Option<usize>,
-    ) {
-        let g = self.goroutines.get_mut(gid.index() as usize).expect("deliver to missing g");
-        let frame = g.frames.last_mut().expect("deliver to frameless g");
-        if let Some(d) = dst {
-            frame.locals[d.index()] = val;
-        }
-        if let Some(o) = ok_dst {
-            frame.locals[o.index()] = Value::Bool(ok);
-        }
-        if let Some(t) = select_target {
-            frame.pc = t;
+    /// Resumes a goroutine popped from a channel wait queue: a select case
+    /// first moves its pc to the case's arm, then the goroutine wakes.
+    pub(crate) fn resume<T>(&mut self, w: &Waiter<T>) {
+        if let Some(t) = w.select_target {
+            let g = &mut self.goroutines[w.gid.index() as usize];
+            g.frames.last_mut().expect("no frame").pc = t;
             g.dirty_select_state = false;
         }
+        self.wake(w.gid, w.token);
+    }
+
+    /// Resumes a parked receiver, writing `val` and the comma-ok flag `ok`
+    /// into its top frame first.
+    pub(crate) fn resume_receiver(&mut self, w: &Waiter<RecvSlots>, val: Value, ok: bool) {
+        if let Some(d) = w.op.dst {
+            self.write_var(w.gid, d, val);
+        }
+        if let Some(o) = w.op.ok_dst {
+            self.write_var(w.gid, o, Value::Bool(ok));
+        }
+        self.resume(w);
     }
 }
 

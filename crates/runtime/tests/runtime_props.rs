@@ -2,18 +2,21 @@
 //! FIFO order, value conservation across producer/consumer fleets, and
 //! whole-VM determinism.
 
-use golf_runtime::{BinOp, FuncBuilder, ProgramSet, RunStatus, Value, Vm, VmConfig};
+use golf_runtime::{BinOp, FuncBuilder, ProgramSet, RunStatus, SelectSpec, Value, Vm, VmConfig};
 use proptest::prelude::*;
 
 /// Builds a producer/consumer program: `producers` goroutines send
 /// `per_producer` distinct tagged values into one channel of capacity
 /// `cap`; `consumers` goroutines drain it into a shared result slice
-/// (mutex-protected); main waits for all of it and closes up shop.
+/// (mutex-protected); main waits for all of it and closes up shop. With
+/// `select_send`, producers send through a one-arm `select`, so a full
+/// buffer parks them as select senders.
 fn producer_consumer(
     producers: i64,
     per_producer: i64,
     consumers: i64,
     cap: usize,
+    select_send: bool,
 ) -> (ProgramSet, golf_runtime::GlobalId) {
     let mut p = ProgramSet::new();
     let out = p.global("out");
@@ -28,7 +31,16 @@ fn producer_consumer(
     let v = b.var("v");
     b.repeat(per_producer, |b, i| {
         b.bin(BinOp::Add, v, base, i);
-        b.send(ch, v);
+        if select_send {
+            let sent = b.label();
+            b.select(SelectSpec::new().send(ch, v, sent));
+            // Only reached if a woken select sender skipped its arm: the
+            // duplicate breaks value conservation.
+            b.send(ch, v);
+            b.bind(sent);
+        } else {
+            b.send(ch, v);
+        }
     });
     b.wg_done(wg);
     b.ret(None);
@@ -98,9 +110,10 @@ proptest! {
         consumers in 1i64..5,
         cap in 0usize..4,
         procs in 1usize..5,
+        select_send in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        let (p, out) = producer_consumer(producers, per_producer, consumers, cap);
+        let (p, out) = producer_consumer(producers, per_producer, consumers, cap, select_send);
         let mut vm = Vm::boot(p, VmConfig { seed, gomaxprocs: procs, ..VmConfig::default() });
         let outcome = vm.run(200_000);
         prop_assert_eq!(outcome.status, RunStatus::MainDone);
@@ -119,7 +132,7 @@ proptest! {
     /// buffer capacity.
     #[test]
     fn channels_are_fifo(per_producer in 1i64..12, cap in 0usize..5, seed in any::<u64>()) {
-        let (p, out) = producer_consumer(1, per_producer, 1, cap);
+        let (p, out) = producer_consumer(1, per_producer, 1, cap, false);
         let mut vm = Vm::boot(p, VmConfig { seed, ..VmConfig::default() });
         prop_assert_eq!(vm.run(100_000).status, RunStatus::MainDone);
         let got = read_slice(&vm, out);
@@ -185,10 +198,11 @@ proptest! {
         producers in 1i64..4,
         consumers in 1i64..4,
         procs in 1usize..5,
+        select_send in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let run = || {
-            let (p, out) = producer_consumer(producers, 4, consumers, 1);
+            let (p, out) = producer_consumer(producers, 4, consumers, 1, select_send);
             let mut vm = Vm::boot(p, VmConfig { seed, gomaxprocs: procs, ..VmConfig::default() });
             let outcome = vm.run(200_000);
             (outcome, read_slice(&vm, out), vm.counters())

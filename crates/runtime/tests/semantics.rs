@@ -2,7 +2,8 @@
 //! channel/select/sync behaviour and scheduler properties.
 
 use golf_runtime::{
-    BinOp, FuncBuilder, GStatus, ProgramSet, RunStatus, SelectSpec, Value, Vm, VmConfig, WaitReason,
+    BinOp, FuncBuilder, GStatus, PanicPolicy, ProgramSet, RunStatus, SelectSpec, Value, Vm,
+    VmConfig, WaitReason,
 };
 
 fn boot(p: ProgramSet) -> Vm {
@@ -238,6 +239,37 @@ fn close_wakes_blocked_receiver_and_panics_blocked_sender() {
 
     let mut vm = boot(p2);
     assert_eq!(vm.run(10_000).status, RunStatus::Panicked);
+    assert!(vm.panics()[0].message.contains("send on closed channel"));
+
+    // Case 3: a sender parked in a select is woken by close and panics too,
+    // once, although its two send arms queue it twice on the channel.
+    let mut p3 = ProgramSet::new();
+    let mut b = FuncBuilder::new("select_sender", 1);
+    let ch = b.param(0);
+    let v = b.int(1);
+    let (l1, l2) = (b.label(), b.label());
+    b.select(SelectSpec::new().send(ch, v, l1).send(ch, v, l2));
+    b.bind(l1);
+    b.bind(l2);
+    b.ret(None);
+    let select_sender = p3.define(b);
+    let site_s3 = p3.site("main:select_send");
+
+    let mut b = FuncBuilder::new("main", 0);
+    let ch = b.var("ch");
+    b.make_chan(ch, 0);
+    b.go(select_sender, &[ch], site_s3);
+    b.sleep(10);
+    b.close_chan(ch);
+    b.sleep(10);
+    b.ret(None);
+    p3.define(b);
+
+    // The run goes on after the first panic, so a second one would show.
+    let mut vm =
+        Vm::boot(p3, VmConfig { panic_policy: PanicPolicy::KillGoroutine, ..VmConfig::default() });
+    assert_eq!(vm.run(10_000).status, RunStatus::MainDone);
+    assert_eq!(vm.panics().len(), 1);
     assert!(vm.panics()[0].message.contains("send on closed channel"));
 }
 
