@@ -10,14 +10,10 @@ use crate::report::DeadlockReport;
 use crate::stats::{GcCycleStats, GcTotals, PhaseEvent};
 use golf_heap::MarkBits;
 use golf_runtime::{GStatus, Gid, Goroutine, Value, Vm};
-use golf_trace::{GoId, TraceEvent};
+use golf_trace::TraceEvent;
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
-
-fn go_id(gid: Gid) -> GoId {
-    GoId::new(gid.index(), gid.generation())
-}
 
 /// Reusable per-cycle working state, hoisted out of [`GcEngine::collect`] so
 /// steady-state cycles clear containers instead of reallocating them.
@@ -280,7 +276,6 @@ impl GcEngine {
             vm.trace_emit(TraceEvent::GcPhaseBegin { cycle: cycle_no, phase: "sweep" });
             vm.trace_emit(TraceEvent::GcPhaseEnd { cycle: cycle_no, phase: "sweep", count: 0 });
         }
-        vm.heap_mut().reset_alloc_window();
         stats.mark_ns = 0;
         stats.pause_ns = pause_start.elapsed().as_nanos() as u64;
         self.totals.absorb(&stats);
@@ -489,7 +484,7 @@ impl GcEngine {
                 report.wait_for = wait_for.clone();
                 if vm.trace_enabled() {
                     vm.trace_emit(TraceEvent::DeadlockDetected {
-                        gid: go_id(gid),
+                        gid: gid.into(),
                         reason: report.wait_reason.as_str(),
                         location: report.block_location.clone(),
                     });
@@ -589,7 +584,6 @@ impl GcEngine {
                 count: stats.swept_objects,
             });
         }
-        vm.heap_mut().reset_alloc_window();
 
         stats.live_bytes_after = vm.heap().stats().heap_alloc_bytes;
         stats.pause_ns = pause_start.elapsed().as_nanos() as u64;
@@ -630,12 +624,8 @@ impl GcEngine {
     fn build_report(&self, vm: &Vm, gid: Gid, cycle: u64) -> DeadlockReport {
         let g = vm.goroutine(gid).expect("reporting a stale goroutine");
         let program = vm.program();
-        let stack: Vec<String> = g
-            .frames
-            .iter()
-            .rev()
-            .map(|f| program.describe_loc(f.func, f.pc.saturating_sub(1)))
-            .collect();
+        let stack: Vec<String> =
+            g.frames.iter().rev().map(|f| program.describe_loc(f.func, f.pc)).collect();
         let block_location = stack.first().cloned().unwrap_or_else(|| "<unknown>".into());
         DeadlockReport {
             gid,

@@ -12,16 +12,11 @@
 
 use golf_heap::{Handle, Trace};
 use golf_runtime::{FuncId, GStatus, Gid, Goroutine, ProgramSet, Vm, WaitReason};
-use golf_trace::GoId;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Number of flight-recorder events attached to each deadlock report.
 pub const DEFAULT_FORENSIC_TAIL: usize = 16;
-
-fn go_id(gid: Gid) -> GoId {
-    GoId::new(gid.index(), gid.generation())
-}
 
 /// Renders the last `k` flight-recorder events concerning `gid`, oldest
 /// first.
@@ -29,7 +24,7 @@ fn go_id(gid: Gid) -> GoId {
 /// Returns an empty vector unless a trace sink was installed: the flight
 /// recorder records exactly while one is.
 pub fn flight_tail(vm: &Vm, gid: Gid, k: usize) -> Vec<String> {
-    vm.tracer().recorder().tail_for(go_id(gid), k).iter().map(|r| r.to_string()).collect()
+    vm.tracer().recorder().tail_for(gid.into(), k).iter().map(|r| r.to_string()).collect()
 }
 
 /// One parked goroutine of a [`WaitForGraph`].
@@ -123,7 +118,7 @@ impl WaitForGraph {
         for g in &self.goroutines {
             let loc = g
                 .top
-                .map(|(func, pc)| program.describe_loc(func, pc.saturating_sub(1)))
+                .map(|(func, pc)| program.describe_loc(func, pc))
                 .unwrap_or_else(|| "<no frames>".into());
             let color = if g.deadlocked { "red" } else { "black" };
             let _ = writeln!(

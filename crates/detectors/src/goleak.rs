@@ -127,7 +127,7 @@ pub fn find_leaks(vm: &Vm, opts: GoleakOptions) -> Vec<LeakEntry> {
         let location = g
             .frames
             .last()
-            .map(|f| vm.program().describe_loc(f.func, f.pc.saturating_sub(1)))
+            .map(|f| vm.program().describe_loc(f.func, f.pc))
             .unwrap_or_else(|| "<no frame>".into());
         out.push(LeakEntry {
             gid: g.id,

@@ -5,9 +5,9 @@ use crate::{Handle, HeapStats, Trace};
 
 struct Slot<O, F> {
     /// The object. A swept slot keeps its dead object until [`Heap::alloc`]
-    /// reuses the slot, so `Some` does not mean live: the `allocated` bitmap
-    /// and the generation say that.
-    obj: Option<O>,
+    /// reuses the slot, so a slot's object is not necessarily live: the
+    /// `allocated` bitmap and the generation say that.
+    obj: O,
     generation: u32,
     bytes: u64,
     finalizer: Option<F>,
@@ -18,7 +18,7 @@ struct Slot<O, F> {
 ///
 /// The heap owns the *mechanism* of collection — mark bits, sweeping,
 /// finalizer bookkeeping — while the *policy* (what the roots are, when to
-/// collect) lives in `golf-core`. Handles are generational: freeing a slot
+/// collect) lives in `golf-core`. Handles are generational: sweeping a slot
 /// bumps its generation, so stale handles resolve to `None` rather than to a
 /// recycled object.
 ///
@@ -27,6 +27,8 @@ struct Slot<O, F> {
 /// the allocated slots. [`Heap::sweep_unmarked`] reads `allocated & !marked`
 /// a word at a time and does not drop what it reclaims: a dead object stays
 /// in its slot, holding its buffers, until [`Heap::alloc`] reuses the slot.
+/// The sweep is the only way an object dies, so a slot's one lifecycle is
+/// `alloc` → unmarked at a sweep → reused by `alloc`.
 ///
 /// Finalizers mirror Go's `runtime.SetFinalizer`: an unmarked object with a
 /// finalizer is *not* reclaimed by [`Heap::sweep_unmarked`]; instead its
@@ -58,8 +60,8 @@ pub struct Heap<O, F = ()> {
     marks: MarkBits,
     /// One bit per slot that holds a live object.
     allocated: MarkBits,
-    /// The write barrier: bumped by every mutating entry point (alloc, free,
-    /// `get_mut`, finalizer changes, size refresh, sweep frees) and never
+    /// The write barrier: bumped by every mutating entry point (alloc,
+    /// `get_mut`, `set_finalizer`, size refresh, sweep frees) and never
     /// reset, so equal reads prove no mutation happened in between.
     mutation_epoch: u64,
     stats: HeapStats,
@@ -98,38 +100,38 @@ impl<O: Trace, F> Heap<O, F> {
     }
 
     /// Allocates `obj`, returning its handle. Reusing a swept slot drops the
-    /// dead object it still holds.
+    /// dead object it still holds. The slot needs no other reset: the sweep
+    /// frees only unmarked slots without a finalizer.
     pub fn alloc(&mut self, obj: O) -> Handle {
         let bytes = obj.size_bytes() as u64;
         self.stats.on_alloc(bytes);
-        if let Some(idx) = self.free.pop() {
-            self.allocated.try_set(idx as usize);
-            let slot = &mut self.slots[idx as usize];
-            slot.obj = Some(obj);
-            slot.bytes = bytes;
-            slot.finalizer = None;
-            self.marks.clear(idx as usize);
-            let generation = slot.generation;
-            self.mutation_epoch += 1;
-            Handle::new(idx, generation)
-        } else {
-            let idx = u32::try_from(self.slots.len()).expect("heap slot index overflow");
-            self.slots.push(Slot { obj: Some(obj), generation: 0, bytes, finalizer: None });
-            self.marks.ensure(self.slots.len());
-            self.allocated.try_set(idx as usize);
-            self.mutation_epoch += 1;
-            Handle::new(idx, 0)
-        }
+        self.mutation_epoch += 1;
+        let idx = match self.free.pop() {
+            Some(idx) => {
+                let slot = &mut self.slots[idx as usize];
+                slot.obj = obj;
+                slot.bytes = bytes;
+                idx
+            }
+            None => {
+                let idx = u32::try_from(self.slots.len()).expect("heap slot index overflow");
+                self.slots.push(Slot { obj, generation: 0, bytes, finalizer: None });
+                self.marks.ensure(self.slots.len());
+                idx
+            }
+        };
+        self.allocated.try_set(idx as usize);
+        Handle::new(idx, self.slots[idx as usize].generation)
     }
 
     /// The slot `h` names, if `h` is unmasked and of the slot's current
     /// generation.
     ///
-    /// The generation alone decides: freeing or sweeping a slot bumps it,
-    /// and the heap issues a handle of the new generation only when `alloc`
-    /// reuses the slot, so no handle names a dead object. That keeps the
-    /// marker's hot path off the allocated bitmap, which only debug builds
-    /// read here, to check the claim.
+    /// The generation alone decides: sweeping a slot bumps it, and the heap
+    /// issues a handle of the new generation only when `alloc` reuses the
+    /// slot, so no handle names a dead object. That keeps the marker's hot
+    /// path off the allocated bitmap, which only debug builds read here, to
+    /// check the claim.
     fn slot(&self, h: Handle) -> Option<&Slot<O, F>> {
         if h.is_masked() {
             return None;
@@ -155,9 +157,9 @@ impl<O: Trace, F> Heap<O, F> {
     /// Resolves a handle to a shared reference.
     ///
     /// Returns `None` for masked handles (the marker must not see through
-    /// obfuscated addresses), stale handles, and freed slots.
+    /// obfuscated addresses), stale handles, and swept slots.
     pub fn get(&self, h: Handle) -> Option<&O> {
-        self.slot(h).and_then(|s| s.obj.as_ref())
+        self.slot(h).map(|s| &s.obj)
     }
 
     /// Resolves a handle to an exclusive reference. Same `None` cases as
@@ -168,30 +170,12 @@ impl<O: Trace, F> Heap<O, F> {
     pub fn get_mut(&mut self, h: Handle) -> Option<&mut O> {
         self.slot(h)?;
         self.mutation_epoch += 1;
-        self.slot_mut(h).and_then(|s| s.obj.as_mut())
+        self.slot_mut(h).map(|s| &mut s.obj)
     }
 
     /// Whether `h` currently resolves to a live object.
     pub fn contains(&self, h: Handle) -> bool {
         self.slot(h).is_some()
-    }
-
-    /// Frees the object behind `h` immediately, outside of any GC cycle.
-    ///
-    /// Returns the object if the handle was live. The slot's generation is
-    /// bumped so outstanding handles to it go stale.
-    pub fn free(&mut self, h: Handle) -> Option<O> {
-        let slot = self.slot_mut(h)?;
-        let obj = slot.obj.take();
-        let bytes = slot.bytes;
-        slot.generation = slot.generation.wrapping_add(1);
-        slot.finalizer = None;
-        self.marks.clear(h.index() as usize);
-        self.allocated.clear(h.index() as usize);
-        self.mutation_epoch += 1;
-        self.free.push(h.index());
-        self.stats.on_free(bytes);
-        obj
     }
 
     /// Number of live objects.
@@ -296,21 +280,11 @@ impl<O: Trace, F> Heap<O, F> {
         self.slot(h).is_some_and(|s| s.finalizer.is_some())
     }
 
-    /// Removes and returns the finalizer attached to `h`, if any.
-    pub fn take_finalizer(&mut self, h: Handle) -> Option<F> {
-        let fin = self.slot_mut(h)?.finalizer.take();
-        if fin.is_some() {
-            self.mutation_epoch += 1;
-        }
-        fin
-    }
-
     /// Recomputes the byte size of `h` after in-place growth (e.g. a channel
     /// buffer that gained elements), keeping [`HeapStats`] truthful.
     pub fn refresh_size(&mut self, h: Handle) {
         let Some(slot) = self.slot_mut(h) else { return };
-        let Some(obj) = slot.obj.as_ref() else { return };
-        let new_bytes = obj.size_bytes() as u64;
+        let new_bytes = slot.obj.size_bytes() as u64;
         let old = std::mem::replace(&mut slot.bytes, new_bytes);
         self.stats.heap_alloc_bytes = self.stats.heap_alloc_bytes - old + new_bytes;
         self.mutation_epoch += 1;
@@ -318,9 +292,11 @@ impl<O: Trace, F> Heap<O, F> {
 
     /// Iterates over `(handle, object)` pairs for every live object.
     pub fn iter(&self) -> impl Iterator<Item = (Handle, &O)> {
-        self.slots.iter().enumerate().filter(|&(idx, _)| self.allocated.is_set(idx)).filter_map(
-            |(idx, slot)| slot.obj.as_ref().map(|o| (Handle::new(idx as u32, slot.generation), o)),
-        )
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|&(idx, _)| self.allocated.is_set(idx))
+            .map(|(idx, slot)| (Handle::new(idx as u32, slot.generation), &slot.obj))
     }
 
     /// Iterates over the handles of every live object.
@@ -333,17 +309,10 @@ impl<O: Trace, F> Heap<O, F> {
         &self.stats
     }
 
-    /// Resets the pacer window counters (`bytes_since_reset`,
-    /// `allocs_since_reset`), typically at the end of a GC cycle.
-    pub fn reset_alloc_window(&mut self) {
-        self.stats.bytes_since_reset = 0;
-        self.stats.allocs_since_reset = 0;
-    }
-
     /// Checks internal invariants, returning a description of the first
     /// violation found: the free list holds exactly the slots not allocated,
-    /// every allocated slot holds an object, byte and object accounting agree
-    /// with a fresh traversal, and no freed slot retains a mark or finalizer.
+    /// byte and object accounting agree with a fresh traversal, and no freed
+    /// slot retains a mark or finalizer.
     /// Intended for tests and debug builds.
     pub fn validate(&self) -> Result<(), String> {
         let free_set: std::collections::HashSet<u32> = self.free.iter().copied().collect();
@@ -359,9 +328,6 @@ impl<O: Trace, F> Heap<O, F> {
             let idx = idx as u32;
             if self.allocated.is_set(idx as usize) {
                 // Allocated slots may carry marks and finalizers.
-                if slot.obj.is_none() {
-                    return Err(format!("allocated slot {idx} holds no object"));
-                }
                 if free_set.contains(&idx) {
                     return Err(format!("allocated slot {idx} is on the free list"));
                 }
@@ -435,6 +401,17 @@ mod tests {
         Node { next: None, payload }
     }
 
+    /// Kills `victim` the only way an object dies: one collection that
+    /// marks every other live handle and then sweeps.
+    fn sweep_one<F>(heap: &mut Heap<Node, F>, victim: Handle) {
+        let others: Vec<Handle> = heap.handles().filter(|&h| h != victim).collect();
+        heap.clear_marks();
+        for h in others {
+            heap.try_mark(h);
+        }
+        assert_eq!(heap.sweep_unmarked().reclaimed_objects, 1);
+    }
+
     #[test]
     fn alloc_and_get() {
         let mut heap: Heap<Node> = Heap::new();
@@ -445,10 +422,10 @@ mod tests {
     }
 
     #[test]
-    fn stale_handle_after_free() {
+    fn stale_handle_after_sweep() {
         let mut heap: Heap<Node> = Heap::new();
         let h = heap.alloc(leaf(8));
-        assert!(heap.free(h).is_some());
+        sweep_one(&mut heap, h);
         assert!(heap.get(h).is_none());
         assert!(!heap.contains(h));
         // Slot reuse produces a distinct handle.
@@ -457,15 +434,6 @@ mod tests {
         assert_ne!(h2, h);
         assert!(heap.get(h).is_none());
         assert_eq!(heap.get(h2).unwrap().payload, 9);
-    }
-
-    #[test]
-    fn double_free_is_none() {
-        let mut heap: Heap<Node> = Heap::new();
-        let h = heap.alloc(leaf(1));
-        assert!(heap.free(h).is_some());
-        assert!(heap.free(h).is_none());
-        assert_eq!(heap.len(), 0);
     }
 
     #[test]
@@ -516,9 +484,9 @@ mod tests {
     fn finalizer_on_dead_handle_fails() {
         let mut heap: Heap<Node, u32> = Heap::new();
         let a = heap.alloc(leaf(1));
-        heap.free(a);
+        sweep_one(&mut heap, a);
         assert!(!heap.set_finalizer(a, 1));
-        assert!(heap.take_finalizer(a).is_none());
+        assert!(!heap.has_finalizer(a));
     }
 
     #[test]
@@ -541,7 +509,7 @@ mod tests {
         let mut heap: Heap<Node> = Heap::new();
         let a = heap.alloc(leaf(1));
         let b = heap.alloc(leaf(2));
-        heap.free(a);
+        sweep_one(&mut heap, a);
         let seen: Vec<Handle> = heap.handles().collect();
         assert_eq!(seen, vec![b]);
     }
@@ -572,7 +540,7 @@ mod tests {
         let b = heap.alloc(leaf(8));
         heap.set_finalizer(b, 9);
         heap.validate().unwrap();
-        heap.free(a);
+        sweep_one(&mut heap, a); // b is marked and keeps its finalizer
         heap.validate().unwrap();
         heap.clear_marks();
         heap.sweep_unmarked(); // resurrects b (finalizer), frees nothing else
@@ -594,9 +562,12 @@ mod tests {
         assert_eq!(heap.marked_count(), 4);
         assert!(heap.is_marked(handles[0]));
         assert!(!heap.is_marked(handles[9]));
-        // Freeing a marked object clears its bit.
-        heap.free(handles[0]);
-        assert_eq!(heap.marked_count(), 3);
+        // The sweep kills only unmarked objects, and a reused slot starts
+        // unmarked: the survivors' marks are all that is left.
+        assert_eq!(heap.sweep_unmarked().reclaimed_objects, 6);
+        let fresh = heap.alloc(leaf(1));
+        assert!(!heap.is_marked(fresh));
+        assert_eq!(heap.marked_count(), 4);
         heap.validate().unwrap();
     }
 
@@ -612,14 +583,14 @@ mod tests {
         assert!(heap.contains(a));
         heap.is_marked(a);
         assert_eq!(heap.mutation_epoch(), e);
-        // Failed exclusive lookups are not mutations either.
-        heap.free(a);
-        let after_free = heap.mutation_epoch();
-        assert!(after_free > e);
+        // A sweep that kills an object is a mutation.
+        sweep_one(&mut heap, a);
+        let after_sweep = heap.mutation_epoch();
+        assert_eq!(after_sweep, e + 1);
+        // Failed exclusive lookups are not mutations.
         assert!(heap.get_mut(a).is_none());
         assert!(!heap.set_finalizer(a, 1));
-        assert!(heap.take_finalizer(a).is_none());
-        assert_eq!(heap.mutation_epoch(), after_free);
+        assert_eq!(heap.mutation_epoch(), after_sweep);
         // Successful ones are.
         let b = heap.alloc(leaf(1));
         let before = heap.mutation_epoch();
@@ -674,7 +645,7 @@ mod tests {
         heap.clear_marks();
         heap.try_mark(b);
         assert_eq!(heap.sweep_unmarked().reclaimed_objects, 1);
-        assert!(heap.slots[a.index() as usize].obj.is_some(), "the dead object is not dropped yet");
+        assert_eq!(heap.slots[a.index() as usize].obj.payload, 10, "not dropped yet");
         assert!(heap.get(a).is_none());
         assert!(!heap.contains(a));
         assert!(!heap.try_mark(a));
@@ -711,17 +682,5 @@ mod tests {
         heap.validate().unwrap();
         heap.free.push(b.index());
         assert_eq!(heap.validate(), Err("allocated slot 1 is on the free list".to_string()));
-    }
-
-    #[test]
-    fn pacer_window_resets() {
-        let mut heap: Heap<Node> = Heap::new();
-        heap.alloc(leaf(5));
-        assert_eq!(heap.stats().bytes_since_reset, 5);
-        heap.reset_alloc_window();
-        assert_eq!(heap.stats().bytes_since_reset, 0);
-        heap.alloc(leaf(7));
-        assert_eq!(heap.stats().bytes_since_reset, 7);
-        assert_eq!(heap.stats().total_alloc_bytes, 12);
     }
 }

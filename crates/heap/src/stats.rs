@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// let mut heap: Heap<Blob> = Heap::new();
 /// heap.alloc(Blob(1024));
 /// assert_eq!(heap.stats().heap_alloc_bytes, 1024);
-/// assert_eq!(heap.stats().total_alloc_bytes, 1024);
+/// assert_eq!(heap.stats().total_allocs, 1);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HeapStats {
@@ -28,18 +28,10 @@ pub struct HeapStats {
     pub heap_alloc_bytes: u64,
     /// Number of objects currently on the heap.
     pub heap_objects: u64,
-    /// Cumulative bytes ever allocated.
-    pub total_alloc_bytes: u64,
     /// Cumulative number of allocations.
     pub total_allocs: u64,
-    /// Cumulative number of objects reclaimed by sweeps or explicit frees.
+    /// Cumulative number of objects reclaimed by sweeps.
     pub total_frees: u64,
-    /// Bytes allocated since the last call to
-    /// [`Heap::reset_alloc_window`](crate::Heap::reset_alloc_window) — the
-    /// input to the GC pacer.
-    pub bytes_since_reset: u64,
-    /// Allocations since the last pacer window reset.
-    pub allocs_since_reset: u64,
 }
 
 impl HeapStats {
@@ -47,10 +39,7 @@ impl HeapStats {
     pub(crate) fn on_alloc(&mut self, bytes: u64) {
         self.heap_alloc_bytes += bytes;
         self.heap_objects += 1;
-        self.total_alloc_bytes += bytes;
         self.total_allocs += 1;
-        self.bytes_since_reset += bytes;
-        self.allocs_since_reset += 1;
     }
 
     /// Records the removal of an object of `bytes`.
@@ -76,7 +65,6 @@ mod tests {
         assert_eq!(s.heap_alloc_bytes, 50);
         assert_eq!(s.heap_objects, 1);
         // Cumulative counters only grow.
-        assert_eq!(s.total_alloc_bytes, 150);
         assert_eq!(s.total_allocs, 2);
         assert_eq!(s.total_frees, 1);
     }

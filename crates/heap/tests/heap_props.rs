@@ -27,8 +27,6 @@ enum Op {
     /// Allocate a node of `bytes`, linking to up to two previously allocated
     /// live objects chosen by index.
     Alloc { bytes: usize, link_a: usize, link_b: usize },
-    /// Free the `i`-th (mod len) live object directly.
-    Free(usize),
     /// Run a full GC rooted at every live object except those whose
     /// position `p` has `p % stride == root % stride`. A stride of 1 roots
     /// nothing; larger strides drop fewer roots, so heaps grow over several
@@ -40,7 +38,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         8 => (1usize..512, any::<usize>(), any::<usize>())
             .prop_map(|(bytes, link_a, link_b)| Op::Alloc { bytes, link_a, link_b }),
-        1 => any::<usize>().prop_map(Op::Free),
         1 => (any::<usize>(), 1usize..65).prop_map(|(root, stride)| Op::Collect { root, stride }),
     ]
 }
@@ -80,17 +77,6 @@ proptest! {
                     let h = heap.alloc(Node { children, bytes });
                     live.push(h);
                 }
-                Op::Free(i) => {
-                    if live.is_empty() { continue; }
-                    let h = live.swap_remove(i % live.len());
-                    heap.free(h);
-                    // Stale handles must be inert afterwards.
-                    prop_assert!(heap.get(h).is_none());
-                    prop_assert!(!heap.try_mark(h));
-                    // Dangling edges to h from other objects are tolerated by
-                    // the marker (it skips stale handles), matching a heap
-                    // where free is only driven by the collector in practice.
-                }
                 Op::Collect { root, stride } => {
                     if live.is_empty() {
                         heap.clear_marks();
@@ -112,6 +98,12 @@ proptest! {
                         prop_assert!(heap.contains(*h));
                     }
                     prop_assert_eq!(heap.len(), marked.len());
+                    // Handles the sweep killed are stale and inert, even
+                    // while their dead objects still sit in the slots.
+                    for h in live.iter().filter(|h| !marked.contains(h)) {
+                        prop_assert!(heap.get(*h).is_none());
+                        prop_assert!(!heap.try_mark(*h));
+                    }
                     live.retain(|h| marked.contains(h));
                 }
             }
@@ -125,9 +117,9 @@ proptest! {
     }
 
     /// Handles returned by alloc are unique across the whole run, even with
-    /// slot reuse (generations disambiguate).
+    /// slot reuse after sweeps (generations disambiguate).
     #[test]
-    fn handles_never_repeat(count in 1usize..40, frees in proptest::collection::vec(any::<usize>(), 0..40)) {
+    fn handles_never_repeat(count in 1usize..40, kills in proptest::collection::vec(any::<usize>(), 0..40)) {
         let mut heap: Heap<Node> = Heap::new();
         let mut seen = HashSet::new();
         let mut live = Vec::new();
@@ -135,11 +127,11 @@ proptest! {
             let h = heap.alloc(Node { children: vec![], bytes: 1 });
             prop_assert!(seen.insert(h), "handle reused: {h:?}");
             live.push(h);
-            if let Some(&f) = frees.get(i) {
-                if !live.is_empty() {
-                    let victim = live.swap_remove(f % live.len());
-                    heap.free(victim);
-                }
+            if let Some(&k) = kills.get(i) {
+                // One collection that roots every live object but the victim.
+                live.swap_remove(k % live.len());
+                mark_from(&mut heap, &live);
+                prop_assert_eq!(heap.sweep_unmarked().reclaimed_objects, 1);
             }
         }
     }

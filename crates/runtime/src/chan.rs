@@ -10,7 +10,7 @@ use crate::goroutine::{Blocked, Gid, WaitReason};
 use crate::instr::{SelOp, SelectCase};
 use crate::object::{ChanState, Object, RecvSlots, Waiter};
 use crate::value::{Value, Var};
-use crate::vm::{go_id, Exec, Vm};
+use crate::vm::{Exec, Vm};
 use golf_trace::TraceEvent;
 use rand::Rng;
 use std::collections::VecDeque;
@@ -63,7 +63,7 @@ impl Vm {
         if let Some(w) = self.pop_valid(h, |c| &mut c.recvq) {
             self.resume_receiver(&w, v, true);
             if self.trace_enabled() {
-                self.trace_emit(TraceEvent::ChanSend { gid: go_id(gid), chan: h });
+                self.trace_emit(TraceEvent::ChanSend { gid: gid.into(), chan: h });
             }
             return Exec::Continue;
         }
@@ -74,7 +74,7 @@ impl Vm {
                 c.buf.push_back(v);
                 self.heap.refresh_size(h);
                 if self.trace_enabled() {
-                    self.trace_emit(TraceEvent::ChanSend { gid: go_id(gid), chan: h });
+                    self.trace_emit(TraceEvent::ChanSend { gid: gid.into(), chan: h });
                 }
                 return Exec::Continue;
             }
@@ -133,7 +133,7 @@ impl Vm {
             self.write_var(gid, o, Value::Bool(ok));
         }
         if ok && self.trace_enabled() {
-            self.trace_emit(TraceEvent::ChanRecv { gid: go_id(gid), chan: h });
+            self.trace_emit(TraceEvent::ChanRecv { gid: gid.into(), chan: h });
         }
         Exec::Continue
     }
@@ -151,7 +151,7 @@ impl Vm {
         }
         c.closed = true;
         if self.trace_enabled() {
-            self.trace_emit(TraceEvent::ChanClose { gid: go_id(gid), chan: h });
+            self.trace_emit(TraceEvent::ChanClose { gid: gid.into(), chan: h });
         }
         // Wake every parked receiver with the zero value (buffer is
         // necessarily empty when receivers are parked).

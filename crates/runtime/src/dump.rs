@@ -65,11 +65,7 @@ impl Vm {
             let main_marker = if g.id == self.main_gid() { " (main)" } else { "" };
             let _ = writeln!(out, "goroutine {}{main_marker}: {status}", g.id);
             for frame in g.frames.iter().rev() {
-                let _ = writeln!(
-                    out,
-                    "    {}",
-                    self.program().describe_loc(frame.func, frame.pc.saturating_sub(1))
-                );
+                let _ = writeln!(out, "    {}", self.program().describe_loc(frame.func, frame.pc));
             }
             if let Some(site) = g.spawn_site {
                 let _ = writeln!(

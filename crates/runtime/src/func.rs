@@ -239,9 +239,24 @@ impl ProgramSet {
         self.sites[i].label.clone()
     }
 
-    /// A human-readable code location `func:pc`, used in reports.
-    pub fn describe_loc(&self, func: FuncId, pc: usize) -> String {
-        format!("{}:{}", self.func(func).name, pc)
+    /// A human-readable code location `func:pc` for a stack frame, used in
+    /// reports.
+    ///
+    /// A frame's pc points past the instruction it is executing (the one it
+    /// blocked or panicked in), so the location names `frame_pc - 1`; a frame
+    /// that has not run yet (pc 0) names its first instruction.
+    ///
+    /// ```
+    /// use golf_runtime::{FuncBuilder, ProgramSet};
+    /// let mut p = ProgramSet::new();
+    /// let mut b = FuncBuilder::new("f", 0);
+    /// b.ret(None);
+    /// let f = p.define(b);
+    /// assert_eq!(p.describe_loc(f, 0), "f:0");
+    /// assert_eq!(p.describe_loc(f, 3), "f:2");
+    /// ```
+    pub fn describe_loc(&self, func: FuncId, frame_pc: usize) -> String {
+        format!("{}:{}", self.func(func).name, frame_pc.saturating_sub(1))
     }
 }
 

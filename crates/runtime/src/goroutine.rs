@@ -3,6 +3,7 @@
 use crate::func::{FuncId, SiteId};
 use crate::value::Value;
 use golf_heap::Handle;
+use golf_trace::GoId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -33,6 +34,13 @@ impl Gid {
 impl fmt::Display for Gid {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "g{}.{}", self.index, self.generation)
+    }
+}
+
+/// The trace crate's name for the same goroutine.
+impl From<Gid> for GoId {
+    fn from(gid: Gid) -> Self {
+        GoId::new(gid.index, gid.generation)
     }
 }
 
@@ -202,20 +210,16 @@ pub struct Goroutine {
     /// Leftover select bookkeeping that regular exit paths would have
     /// cleaned; GOLF's forced shutdown must reset it explicitly.
     pub dirty_select_state: bool,
-    /// Number of times this slot has been recycled.
-    pub reuse_count: u64,
     /// Whether GOLF already reported this goroutine as deadlocked (avoids
     /// duplicate reports across GC cycles).
     pub reported_deadlocked: bool,
-    /// Tick at which the goroutine was spawned.
-    pub spawned_at: u64,
     /// True for runtime-internal goroutines (finalizer runner, timer
     /// goroutines); they are never deadlock candidates.
     pub internal: bool,
 }
 
 impl Goroutine {
-    pub(crate) fn new(id: Gid, spawned_at: u64) -> Self {
+    pub(crate) fn new(id: Gid) -> Self {
         Goroutine {
             id,
             status: GStatus::Runnable,
@@ -225,9 +229,7 @@ impl Goroutine {
             spawn_site: None,
             pending_lock: None,
             dirty_select_state: false,
-            reuse_count: 0,
             reported_deadlocked: false,
-            spawned_at,
             internal: false,
         }
     }
@@ -314,7 +316,7 @@ mod tests {
     use crate::value::Var;
 
     fn mk(status: GStatus) -> Goroutine {
-        let mut g = Goroutine::new(Gid::new(1, 0), 0);
+        let mut g = Goroutine::new(Gid::new(1, 0));
         g.status = status;
         g
     }

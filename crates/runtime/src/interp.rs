@@ -2,9 +2,9 @@
 
 use crate::goroutine::{Gid, WaitReason};
 use crate::instr::{BinOp, Instr};
-use crate::object::{Object, SliceVals};
+use crate::object::{MutexState, Object, SliceVals};
 use crate::value::Value;
-use crate::vm::{go_id, Alarm, Exec, Finalizer, Vm};
+use crate::vm::{Alarm, Exec, Finalizer, Vm};
 use golf_trace::TraceEvent;
 use rand::Rng;
 use std::cmp::Reverse;
@@ -371,7 +371,7 @@ impl Vm {
             Instr::MakeChan { dst, cap } => {
                 let h = self.heap.alloc(Object::chan(cap));
                 if self.trace_enabled() {
-                    self.trace_emit(TraceEvent::ChanMake { gid: go_id(gid), chan: h, cap });
+                    self.trace_emit(TraceEvent::ChanMake { gid: gid.into(), chan: h, cap });
                 }
                 self.write_var(gid, dst, Value::Ref(h));
                 Exec::Continue
@@ -434,11 +434,7 @@ impl Vm {
 
             Instr::NewMutex(dst) => {
                 let sema = self.heap.alloc(Object::Sema);
-                let h = self.heap.alloc(Object::Mutex(crate::object::MutexState {
-                    locked: false,
-                    sema,
-                    owner: None,
-                }));
+                let h = self.heap.alloc(Object::Mutex(MutexState { locked: false, sema }));
                 self.write_var(gid, dst, Value::Ref(h));
                 Exec::Continue
             }

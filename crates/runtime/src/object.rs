@@ -65,9 +65,6 @@ pub struct MutexState {
     pub locked: bool,
     /// The runtime semaphore blocked lockers park on.
     pub sema: Handle,
-    /// Current holder, for error detection (Go does not track this; we do,
-    /// to catch unlock-of-unheld in tests).
-    pub owner: Option<Gid>,
 }
 
 /// `sync.RWMutex` state with writer preference.
@@ -345,7 +342,7 @@ mod tests {
     fn mutex_traces_sema() {
         let mut heap: Heap<Object> = Heap::new();
         let sema = heap.alloc(Object::Sema);
-        let m = heap.alloc(Object::Mutex(MutexState { locked: false, sema, owner: None }));
+        let m = heap.alloc(Object::Mutex(MutexState { locked: false, sema }));
         let mut seen = Vec::new();
         heap.get(m).unwrap().trace(&mut |h| seen.push(h));
         assert_eq!(seen, vec![sema]);

@@ -2,7 +2,7 @@
 //! quanta, timers and sleep handling, and global-deadlock detection.
 
 use crate::goroutine::{GStatus, Gid};
-use crate::vm::{go_id, Alarm, Exec, RunOutcome, RunStatus, TickStatus, Vm};
+use crate::vm::{Alarm, Exec, RunOutcome, RunStatus, TickStatus, Vm};
 use golf_trace::TraceEvent;
 use rand::Rng;
 use std::collections::binary_heap::PeekMut;
@@ -147,7 +147,7 @@ impl Vm {
                 self.rng.gen_range(1..=max_quantum)
             };
             if has_policy && self.trace_enabled() {
-                self.trace_emit(TraceEvent::SchedPick { gid: go_id(gid), of: candidates, quantum });
+                self.trace_emit(TraceEvent::SchedPick { gid: gid.into(), of: candidates, quantum });
             }
             for _ in 0..quantum {
                 match self.exec_one(gid) {

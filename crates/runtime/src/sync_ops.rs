@@ -10,7 +10,7 @@ use crate::goroutine::{Blocked, Gid, WaitReason};
 use crate::object::Object;
 use crate::sema::SemaWaiter;
 use crate::value::Value;
-use crate::vm::{go_id, Exec, Vm};
+use crate::vm::{Exec, Vm};
 use golf_heap::Handle;
 use golf_trace::TraceEvent;
 
@@ -19,31 +19,31 @@ impl Vm {
         let token = self.park(gid, reason, Blocked::Sema(sema));
         self.semas.enqueue(sema, SemaWaiter { gid, token });
         if self.trace_enabled() {
-            self.trace_emit(TraceEvent::SemaEnqueue { gid: go_id(gid), sema });
+            self.trace_emit(TraceEvent::SemaEnqueue { gid: gid.into(), sema });
         }
         Exec::Parked
     }
 
     /// Wakes the first still-parked waiter on `sema`, skipping stale
-    /// entries, and returns its goroutine.
-    fn wake_one(&mut self, sema: Handle) -> Option<Gid> {
+    /// entries, and says whether there was one.
+    fn wake_one(&mut self, sema: Handle) -> bool {
         while let Some(w) = self.semas.dequeue_first(sema) {
             if self.waiter_valid(w.gid, w.token) {
                 if self.trace_enabled() {
-                    self.trace_emit(TraceEvent::SemaDequeue { gid: go_id(w.gid), sema });
+                    self.trace_emit(TraceEvent::SemaDequeue { gid: w.gid.into(), sema });
                 }
                 self.wake(w.gid, w.token);
-                return Some(w.gid);
+                return true;
             }
         }
-        None
+        false
     }
 
     /// Empties the queue of `sema`, waking every still-parked waiter.
     fn wake_all(&mut self, sema: Handle) {
         for w in self.semas.dequeue_all(sema) {
             if self.wake(w.gid, w.token) && self.trace_enabled() {
-                self.trace_emit(TraceEvent::SemaDequeue { gid: go_id(w.gid), sema });
+                self.trace_emit(TraceEvent::SemaDequeue { gid: w.gid.into(), sema });
             }
         }
     }
@@ -59,7 +59,6 @@ impl Vm {
         };
         if !m.locked {
             m.locked = true;
-            m.owner = Some(gid);
             return Exec::Continue;
         }
         let sema = m.sema;
@@ -77,14 +76,12 @@ impl Vm {
             return self.goroutine_panic(gid, "sync: unlock of unlocked mutex");
         }
         let sema = m.sema;
-        if let Some(next) = self.wake_one(sema) {
-            // Direct ownership handoff, like Go's starvation-mode mutex.
+        // A woken waiter takes the lock over directly, like Go's
+        // starvation-mode mutex; only with no waiter does it unlock.
+        if !self.wake_one(sema) {
             if let Some(Object::Mutex(m)) = self.heap.get_mut(h) {
-                m.owner = Some(next);
+                m.locked = false;
             }
-        } else if let Some(Object::Mutex(m)) = self.heap.get_mut(h) {
-            m.locked = false;
-            m.owner = None;
         }
         Exec::Continue
     }
@@ -129,7 +126,7 @@ impl Vm {
             rw.readers -= 1;
             rw.readers
         };
-        if remaining == 0 && self.wake_one(wsema).is_some() {
+        if remaining == 0 && self.wake_one(wsema) {
             if let Some(Object::RwLock(rw)) = self.heap.get_mut(h) {
                 rw.writer = true;
             }
@@ -166,11 +163,11 @@ impl Vm {
         }
         let (rsema, wsema) = (rw.rsema, rw.wsema);
         // Prefer handing off to the next writer; otherwise admit all readers.
-        if self.wake_one(wsema).is_some() {
+        if self.wake_one(wsema) {
             return Exec::Continue;
         }
         let mut admitted = 0;
-        while self.wake_one(rsema).is_some() {
+        while self.wake_one(rsema) {
             admitted += 1;
         }
         if let Some(Object::RwLock(rw)) = self.heap.get_mut(h) {

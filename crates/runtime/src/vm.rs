@@ -15,11 +15,6 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
-/// Converts a runtime [`Gid`] into the trace crate's [`GoId`].
-pub(crate) fn go_id(gid: Gid) -> GoId {
-    GoId::new(gid.index(), gid.generation())
-}
-
 /// Finalizer payload attached to heap objects: the function to invoke with
 /// the object as its argument (`runtime.SetFinalizer`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -408,18 +403,14 @@ impl Vm {
                 !old.dirty_select_state,
                 "recycled a goroutine whose select state was not cleaned"
             );
-            let gen = old.id.generation() + 1;
-            let reuse = old.reuse_count + 1;
-            let gid = Gid::new(idx, gen);
-            let mut g = Goroutine::new(gid, self.tick);
-            g.reuse_count = reuse;
-            self.goroutines[idx as usize] = g;
+            let gid = Gid::new(idx, old.id.generation() + 1);
+            self.goroutines[idx as usize] = Goroutine::new(gid);
             self.counters.reused += 1;
             gid
         } else {
             let idx = self.goroutines.len() as u32;
             let gid = Gid::new(idx, 0);
-            self.goroutines.push(Goroutine::new(gid, self.tick));
+            self.goroutines.push(Goroutine::new(gid));
             self.queued.push(false);
             gid
         };
@@ -432,8 +423,8 @@ impl Vm {
         self.ready(gid);
         if self.tracer.enabled() {
             let event = TraceEvent::GoCreate {
-                gid: go_id(gid),
-                parent: parent.map(go_id),
+                gid: gid.into(),
+                parent: parent.map(GoId::from),
                 func: self.program.func(func).name.clone(),
                 spawn_site: site.map(|s| self.program.site_info(s).label.to_string()),
             };
@@ -506,7 +497,7 @@ impl Vm {
         let token = g.wait_token;
         if traced {
             self.trace_emit(TraceEvent::GoBlock {
-                gid: go_id(gid),
+                gid: gid.into(),
                 reason: reason.as_str(),
                 objects,
             });
@@ -535,7 +526,7 @@ impl Vm {
         self.counters.wakes += 1;
         self.ready(gid);
         if self.tracer.enabled() {
-            self.trace_emit(TraceEvent::GoUnblock { gid: go_id(gid) });
+            self.trace_emit(TraceEvent::GoUnblock { gid: gid.into() });
         }
         true
     }
@@ -563,7 +554,7 @@ impl Vm {
             self.main_done = true;
         }
         if self.tracer.enabled() {
-            self.trace_emit(TraceEvent::GoEnd { gid: go_id(gid) });
+            self.trace_emit(TraceEvent::GoEnd { gid: gid.into() });
         }
     }
 
@@ -598,7 +589,7 @@ impl Vm {
         self.gfree.push(gid.index());
         self.counters.forced_shutdowns += 1;
         if self.tracer.enabled() {
-            self.trace_emit(TraceEvent::Reclaimed { gid: go_id(gid) });
+            self.trace_emit(TraceEvent::Reclaimed { gid: gid.into() });
         }
     }
 
@@ -682,7 +673,7 @@ impl Vm {
         let location = self
             .goroutine(gid)
             .and_then(|g| g.frames.last())
-            .map(|f| self.program.describe_loc(f.func, f.pc.saturating_sub(1)))
+            .map(|f| self.program.describe_loc(f.func, f.pc))
             .unwrap_or_else(|| "<unknown>".to_string());
         let info = PanicInfo { gid, message: message.to_string(), location };
         self.panics.push(info.clone());
