@@ -12,14 +12,14 @@ use proptest::prelude::*;
 use std::collections::HashSet;
 
 /// One random action in a generated goroutine body (mirrors the soundness
-/// suite's generator, plus struct/map indirection for richer graphs).
+/// suite's generator, plus slice indirection for richer graphs).
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Send(u8),
     Recv(u8),
     Close(u8),
     Sleep(u8),
-    StashInMap(u8),
+    StashInSlice(u8),
     Yield,
 }
 
@@ -29,7 +29,7 @@ fn op_strategy(n_chans: u8) -> impl Strategy<Value = Op> {
         4 => (0..n_chans).prop_map(Op::Recv),
         1 => (0..n_chans).prop_map(Op::Close),
         2 => (1u8..10).prop_map(Op::Sleep),
-        1 => (0..n_chans).prop_map(Op::StashInMap),
+        1 => (0..n_chans).prop_map(Op::StashInSlice),
         1 => Just(Op::Yield),
     ]
 }
@@ -62,8 +62,8 @@ fn build(prog: &Prog) -> ProgramSet {
     let mut p = ProgramSet::new();
     let mut worker_ids = Vec::new();
     for (wi, ops) in prog.workers.iter().enumerate() {
-        let mut b = FuncBuilder::new(format!("w{wi}"), prog.n_chans as usize + 1); // chans…, map
-        let map = b.param(prog.n_chans as usize);
+        let mut b = FuncBuilder::new(format!("w{wi}"), prog.n_chans as usize + 1); // chans…, stash
+        let stash = b.param(prog.n_chans as usize);
         for (oi, op) in ops.iter().enumerate() {
             match op {
                 Op::Send(c) => {
@@ -73,11 +73,10 @@ fn build(prog: &Prog) -> ProgramSet {
                 Op::Recv(c) => b.recv(b.param(*c as usize), None),
                 Op::Close(c) => b.close_chan(b.param(*c as usize)),
                 Op::Sleep(t) => b.sleep(u64::from(*t)),
-                Op::StashInMap(c) => {
-                    // Stash a channel into the shared map: indirection the
+                Op::StashInSlice(c) => {
+                    // Stash a channel into the shared slice: indirection the
                     // tracer must follow.
-                    let k = b.int((wi * 16 + oi) as i64);
-                    b.map_set(map, k, b.param(*c as usize));
+                    b.slice_push(stash, b.param(*c as usize));
                 }
                 Op::Yield => b.yield_now(),
             }
@@ -92,10 +91,10 @@ fn build(prog: &Prog) -> ProgramSet {
     for &ch in &chans {
         b.make_chan(ch, 0);
     }
-    let map = b.var("map");
-    b.new_map(map);
+    let stash = b.var("stash");
+    b.new_slice(stash);
     let mut args = chans.clone();
-    args.push(map);
+    args.push(stash);
     for (wi, &f) in worker_ids.iter().enumerate() {
         b.go(f, &args, sites[wi]);
     }
@@ -104,8 +103,9 @@ fn build(prog: &Prog) -> ProgramSet {
             b.clear(ch);
         }
     }
-    b.clear(map); // the map only survives if a worker stashed… no: cleared
-                  // from main, so it lives only through worker stacks.
+    // Main drops the stash, so it and the channels stashed in it stay
+    // reachable only through the workers' stacks.
+    b.clear(stash);
     b.sleep(1_000_000);
     p.define(b);
     p

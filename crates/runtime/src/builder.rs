@@ -312,36 +312,6 @@ impl FuncBuilder {
         self.emit(Instr::SliceLen(dst, slice));
     }
 
-    /// Allocates an empty map.
-    pub fn new_map(&mut self, dst: Var) {
-        self.emit(Instr::NewMap(dst));
-    }
-
-    /// `dst = m[key]`.
-    pub fn map_get(&mut self, dst: Var, map: Var, key: Var) {
-        self.emit(Instr::MapGet { dst, map, key, ok_dst: None });
-    }
-
-    /// `dst, ok = m[key]`.
-    pub fn map_get_ok(&mut self, dst: Var, map: Var, key: Var, ok_dst: Var) {
-        self.emit(Instr::MapGet { dst, map, key, ok_dst: Some(ok_dst) });
-    }
-
-    /// `m[key] = val`.
-    pub fn map_set(&mut self, map: Var, key: Var, val: Var) {
-        self.emit(Instr::MapSet { map, key, val });
-    }
-
-    /// `delete(m, key)`.
-    pub fn map_delete(&mut self, map: Var, key: Var) {
-        self.emit(Instr::MapDelete { map, key });
-    }
-
-    /// `dst = len(m)`.
-    pub fn map_len(&mut self, dst: Var, map: Var) {
-        self.emit(Instr::MapLen(dst, map));
-    }
-
     /// Allocates a cell holding `src`.
     pub fn new_cell(&mut self, dst: Var, src: Var) {
         self.emit(Instr::NewCell(dst, src));
@@ -402,16 +372,6 @@ impl FuncBuilder {
     /// `close(ch)`.
     pub fn close_chan(&mut self, ch: Var) {
         self.emit(Instr::Close(ch));
-    }
-
-    /// `dst = len(ch)`.
-    pub fn chan_len(&mut self, dst: Var, ch: Var) {
-        self.emit(Instr::ChanLen(dst, ch));
-    }
-
-    /// `dst = cap(ch)`.
-    pub fn chan_cap(&mut self, dst: Var, ch: Var) {
-        self.emit(Instr::ChanCap(dst, ch));
     }
 
     /// Emits a `select` from a [`SelectSpec`]. Control continues at the
@@ -497,16 +457,6 @@ impl FuncBuilder {
     /// `wg.Wait()`.
     pub fn wg_wait(&mut self, wg: Var) {
         self.emit(Instr::WgWait(wg));
-    }
-
-    /// `dst = &sync.Once{}`.
-    pub fn new_once(&mut self, dst: Var) {
-        self.emit(Instr::NewOnce(dst));
-    }
-
-    /// `once.Do(f)`.
-    pub fn once_do(&mut self, once: Var, func: FuncId) {
-        self.emit(Instr::OnceDo { once, func });
     }
 
     /// `cond.Wait()` while holding `mutex`.

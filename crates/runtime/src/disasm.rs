@@ -56,14 +56,6 @@ impl ProgramSet {
             Instr::SliceGet(d, s, i) => format!("{} = {}[{}]", v(*d), v(*s), v(*i)),
             Instr::SliceSet(s, i, x) => format!("{}[{}] = {}", v(*s), v(*i), v(*x)),
             Instr::SliceLen(d, s) => format!("{} = len({})", v(*d), v(*s)),
-            Instr::NewMap(d) => format!("{} = map{{}}", v(*d)),
-            Instr::MapGet { dst, map, key, ok_dst } => match ok_dst {
-                Some(ok) => format!("{}, {} = {}[{}]", v(*dst), v(*ok), v(*map), v(*key)),
-                None => format!("{} = {}[{}]", v(*dst), v(*map), v(*key)),
-            },
-            Instr::MapSet { map, key, val } => format!("{}[{}] = {}", v(*map), v(*key), v(*val)),
-            Instr::MapDelete { map, key } => format!("delete({}, {})", v(*map), v(*key)),
-            Instr::MapLen(d, m) => format!("{} = len({})", v(*d), v(*m)),
             Instr::NewCell(d, s) => format!("{} = &{}", v(*d), v(*s)),
             Instr::CellGet(d, c) => format!("{} = *{}", v(*d), v(*c)),
             Instr::CellSet(c, s) => format!("*{} = {}", v(*c), v(*s)),
@@ -78,8 +70,6 @@ impl ProgramSet {
                 None => format!("{} = <-{}", ov(*dst), v(*ch)),
             },
             Instr::Close(ch) => format!("close({})", v(*ch)),
-            Instr::ChanLen(d, ch) => format!("{} = len({})", v(*d), v(*ch)),
-            Instr::ChanCap(d, ch) => format!("{} = cap({})", v(*d), v(*ch)),
             Instr::Select { cases, default_target } => {
                 let mut s = String::from("select {");
                 for c in cases {
@@ -102,10 +92,6 @@ impl ProgramSet {
             Instr::NewRwLock(d) => format!("{} = &sync.RWMutex{{}}", v(*d)),
             Instr::NewWaitGroup(d) => format!("{} = &sync.WaitGroup{{}}", v(*d)),
             Instr::NewCond(d) => format!("{} = sync.NewCond()", v(*d)),
-            Instr::NewOnce(d) => format!("{} = &sync.Once{{}}", v(*d)),
-            Instr::OnceDo { once, func } => {
-                format!("{}.Do({})", v(*once), self.func(*func).name)
-            }
             Instr::Lock(m) => format!("{}.Lock()", v(*m)),
             Instr::Unlock(m) => format!("{}.Unlock()", v(*m)),
             Instr::RLock(m) => format!("{}.RLock()", v(*m)),

@@ -157,37 +157,6 @@ pub enum Instr {
     SliceSet(Var, Var, Var),
     /// `dst = len(slice)`.
     SliceLen(Var, Var),
-    /// Allocate an empty map.
-    NewMap(Var),
-    /// `dst, ok = m[key]` (`dst` gets the zero value when absent).
-    MapGet {
-        /// Destination for the value.
-        dst: Var,
-        /// Map variable.
-        map: Var,
-        /// Key variable.
-        key: Var,
-        /// Optional comma-ok destination.
-        ok_dst: Option<Var>,
-    },
-    /// `m[key] = val`.
-    MapSet {
-        /// Map variable.
-        map: Var,
-        /// Key variable.
-        key: Var,
-        /// Value variable.
-        val: Var,
-    },
-    /// `delete(m, key)`.
-    MapDelete {
-        /// Map variable.
-        map: Var,
-        /// Key variable.
-        key: Var,
-    },
-    /// `dst = len(m)`.
-    MapLen(Var, Var),
     /// Allocate a boxed cell holding `src`.
     NewCell(Var, Var),
     /// `dst = *cell`.
@@ -242,10 +211,6 @@ pub enum Instr {
     },
     /// `close(ch)`. Panics on nil or already-closed channels.
     Close(Var),
-    /// `dst = len(ch)` — buffered elements (0 for nil channels).
-    ChanLen(Var, Var),
-    /// `dst = cap(ch)` — buffer capacity (0 for nil channels).
-    ChanCap(Var, Var),
     /// A select statement. Blocks when no case is ready and there is no
     /// default; `select {}` (zero cases, no default) blocks forever.
     Select {
@@ -289,15 +254,6 @@ pub enum Instr {
         cond: Var,
         /// The mutex the caller holds.
         mutex: Var,
-    },
-    /// `dst = &sync.Once{}`.
-    NewOnce(Var),
-    /// `once.Do(f)` — invokes `f` (no arguments) the first time only.
-    OnceDo {
-        /// The Once variable.
-        once: Var,
-        /// The callback, run at most once.
-        func: FuncId,
     },
     /// `cond.Signal()`.
     CondSignal(Var),

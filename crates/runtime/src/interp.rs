@@ -232,83 +232,6 @@ impl Vm {
                 },
                 _ => self.goroutine_panic(gid, "nil pointer dereference"),
             },
-            Instr::NewMap(dst) => {
-                let h = self.heap.alloc(Object::Map(Default::default()));
-                self.write_var(gid, dst, Value::Ref(h));
-                Exec::Continue
-            }
-            Instr::MapGet { dst, map, key, ok_dst } => {
-                let k = self.read_var(gid, key);
-                match self.read_var(gid, map) {
-                    Value::Ref(h) => match self.heap.get(h) {
-                        Some(Object::Map(m)) => {
-                            let found = m.get(&k).copied();
-                            self.write_var(gid, dst, found.unwrap_or(Value::Nil));
-                            if let Some(ok) = ok_dst {
-                                self.write_var(gid, ok, Value::Bool(found.is_some()));
-                            }
-                            Exec::Continue
-                        }
-                        _ => self.goroutine_panic(gid, "index of non-map"),
-                    },
-                    // Reads on a nil map yield the zero value (Go semantics).
-                    Value::Nil => {
-                        self.write_var(gid, dst, Value::Nil);
-                        if let Some(ok) = ok_dst {
-                            self.write_var(gid, ok, Value::Bool(false));
-                        }
-                        Exec::Continue
-                    }
-                    _ => self.goroutine_panic(gid, "index of non-map"),
-                }
-            }
-            Instr::MapSet { map, key, val } => {
-                let k = self.read_var(gid, key);
-                let v = self.read_var(gid, val);
-                match self.read_var(gid, map) {
-                    Value::Ref(h) => match self.heap.get_mut(h) {
-                        Some(Object::Map(m)) => {
-                            m.insert(k, v);
-                            self.heap.refresh_size(h);
-                            Exec::Continue
-                        }
-                        _ => self.goroutine_panic(gid, "assignment to non-map"),
-                    },
-                    // Writes to a nil map panic (Go semantics).
-                    Value::Nil => self.goroutine_panic(gid, "assignment to entry in nil map"),
-                    _ => self.goroutine_panic(gid, "assignment to non-map"),
-                }
-            }
-            Instr::MapDelete { map, key } => {
-                let k = self.read_var(gid, key);
-                match self.read_var(gid, map) {
-                    Value::Ref(h) => match self.heap.get_mut(h) {
-                        Some(Object::Map(m)) => {
-                            m.remove(&k);
-                            self.heap.refresh_size(h);
-                            Exec::Continue
-                        }
-                        _ => self.goroutine_panic(gid, "delete on non-map"),
-                    },
-                    Value::Nil => Exec::Continue, // delete on nil map is a no-op
-                    _ => self.goroutine_panic(gid, "delete on non-map"),
-                }
-            }
-            Instr::MapLen(dst, map) => match self.read_var(gid, map) {
-                Value::Ref(h) => match self.heap.get(h) {
-                    Some(Object::Map(m)) => {
-                        let n = m.len() as i64;
-                        self.write_var(gid, dst, Value::Int(n));
-                        Exec::Continue
-                    }
-                    _ => self.goroutine_panic(gid, "len of non-map"),
-                },
-                Value::Nil => {
-                    self.write_var(gid, dst, Value::Int(0));
-                    Exec::Continue
-                }
-                _ => self.goroutine_panic(gid, "len of non-map"),
-            },
             Instr::NewCell(dst, src) => {
                 let v = self.read_var(gid, src);
                 let h = self.heap.alloc(Object::Cell(v));
@@ -398,36 +321,6 @@ impl Vm {
                 let chv = self.read_var(gid, ch);
                 self.exec_close(gid, chv)
             }
-            Instr::ChanLen(dst, ch) => match self.read_var(gid, ch) {
-                Value::Ref(h) => match self.heap.get(h) {
-                    Some(Object::Chan(c)) => {
-                        let n = c.buf.len() as i64;
-                        self.write_var(gid, dst, Value::Int(n));
-                        Exec::Continue
-                    }
-                    _ => self.goroutine_panic(gid, "len of non-channel"),
-                },
-                Value::Nil => {
-                    self.write_var(gid, dst, Value::Int(0));
-                    Exec::Continue
-                }
-                _ => self.goroutine_panic(gid, "len of non-channel"),
-            },
-            Instr::ChanCap(dst, ch) => match self.read_var(gid, ch) {
-                Value::Ref(h) => match self.heap.get(h) {
-                    Some(Object::Chan(c)) => {
-                        let n = c.cap as i64;
-                        self.write_var(gid, dst, Value::Int(n));
-                        Exec::Continue
-                    }
-                    _ => self.goroutine_panic(gid, "cap of non-channel"),
-                },
-                Value::Nil => {
-                    self.write_var(gid, dst, Value::Int(0));
-                    Exec::Continue
-                }
-                _ => self.goroutine_panic(gid, "cap of non-channel"),
-            },
             Instr::Select { cases, default_target } => {
                 self.exec_select(gid, &cases, default_target)
             }
@@ -504,34 +397,6 @@ impl Vm {
                 let mv = self.read_var(gid, mutex);
                 self.exec_cond_wait(gid, cv, mv)
             }
-            Instr::NewOnce(dst) => {
-                let h = self.heap.alloc(Object::Once { done: false });
-                self.write_var(gid, dst, Value::Ref(h));
-                Exec::Continue
-            }
-            Instr::OnceDo { once, func } => match self.read_var(gid, once) {
-                Value::Ref(h) => match self.heap.get_mut(h) {
-                    Some(Object::Once { done }) => {
-                        if *done {
-                            return Exec::Continue;
-                        }
-                        *done = true;
-                        let f = self.program.func(func);
-                        debug_assert_eq!(f.n_params, 0, "Once callbacks take no arguments");
-                        let locals = vec![Value::Nil; f.n_locals];
-                        let g = &mut self.goroutines[gid.index() as usize];
-                        g.frames.push(crate::goroutine::Frame {
-                            func,
-                            pc: 0,
-                            locals,
-                            ret_dst: None,
-                        });
-                        Exec::Continue
-                    }
-                    _ => self.goroutine_panic(gid, "Do on non-Once value"),
-                },
-                _ => self.goroutine_panic(gid, "nil pointer dereference (Once.Do)"),
-            },
             Instr::CondSignal(cond) => {
                 let v = self.read_var(gid, cond);
                 self.exec_cond_signal(gid, v, false)

@@ -3,7 +3,7 @@
 use crate::goroutine::Gid;
 use crate::value::{Value, Var};
 use golf_heap::{Handle, Trace};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::ops::Deref;
 
@@ -185,15 +185,6 @@ pub enum Object {
     },
     /// A growable vector of values.
     Slice(SliceVals),
-    /// A Go map (deterministically ordered so runs replay exactly).
-    Map(BTreeMap<Value, Value>),
-    /// A `sync.Once`. Simplification vs Go: a `Do` that observes the flag
-    /// set proceeds immediately instead of blocking until the first caller
-    /// finishes (our cooperative quanta make the in-flight window tiny).
-    Once {
-        /// Whether the callback has been invoked.
-        done: bool,
-    },
     /// A single-value box (models address-taken locals promoted to the heap
     /// by escape analysis).
     Cell(Value),
@@ -264,17 +255,6 @@ impl Trace for Object {
                     }
                 }
             }
-            Object::Map(m) => {
-                for (k, v) in m {
-                    if let Value::Ref(h) = k {
-                        visit(*h);
-                    }
-                    if let Value::Ref(h) = v {
-                        visit(*h);
-                    }
-                }
-            }
-            Object::Once { .. } => {}
             Object::Cell(v) => {
                 if let Value::Ref(h) = v {
                     visit(*h);
@@ -294,8 +274,6 @@ impl Trace for Object {
             Object::Sema => 8,
             Object::Struct { fields, .. } => 16 + fields.len() * 16,
             Object::Slice(vs) => 24 + vs.len() * 16,
-            Object::Map(m) => 48 + m.len() * 32,
-            Object::Once { .. } => 12,
             Object::Cell(_) => 16,
             Object::Blob { bytes } => *bytes,
         }
@@ -311,8 +289,6 @@ impl Trace for Object {
             Object::Sema => "sema",
             Object::Struct { .. } => "struct",
             Object::Slice(_) => "slice",
-            Object::Map(_) => "map",
-            Object::Once { .. } => "once",
             Object::Cell(_) => "cell",
             Object::Blob { .. } => "blob",
         }

@@ -21,9 +21,7 @@ use std::fmt;
 /// assert!(Value::Bool(true).truthy());
 /// assert!(!Value::Nil.truthy());
 /// ```
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Value {
     /// The absence of a value — Go's `nil` and the zero value delivered by
     /// receives on closed channels.
@@ -112,7 +110,7 @@ impl fmt::Display for Value {
 ///
 /// Produced by [`FuncBuilder::var`](crate::FuncBuilder::var); instructions
 /// address frame locals through these.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Var(pub u16);
 
 impl Var {
