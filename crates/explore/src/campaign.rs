@@ -16,9 +16,9 @@ use crate::schedule::Schedule;
 use crate::shrink::shrink;
 use crate::strategy::StrategyKind;
 use crate::target::Target;
+use golf_micro::par_map;
 use golf_runtime::seed_for;
 use std::collections::BTreeSet;
-use std::sync::Mutex;
 
 /// Campaign parameters.
 #[derive(Debug, Clone)]
@@ -255,38 +255,11 @@ fn explore_target(target: &Target, config: &CampaignConfig) -> (TargetOutcome, u
 /// Runs a campaign over `targets`. Worker threads pull targets off a
 /// shared queue; results are reassembled in target order.
 pub fn run_campaign(targets: &[Target], config: &CampaignConfig) -> CampaignResult {
-    let threads = if config.threads == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
-    } else {
-        config.threads
-    };
-    let next = Mutex::new(0usize);
-    let results: Mutex<Vec<(usize, TargetOutcome, u64)>> = Mutex::new(Vec::new());
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(targets.len().max(1)) {
-            scope.spawn(|| loop {
-                let idx = {
-                    let mut n = next.lock().expect("poisoned");
-                    let idx = *n;
-                    *n += 1;
-                    idx
-                };
-                if idx >= targets.len() {
-                    break;
-                }
-                let (outcome, replays) = explore_target(&targets[idx], config);
-                results.lock().expect("poisoned").push((idx, outcome, replays));
-            });
-        }
-    });
-
-    let mut collected = results.into_inner().expect("poisoned");
-    collected.sort_by_key(|(idx, ..)| *idx);
+    let collected = par_map(targets, config.threads, |_, target| explore_target(target, config));
     let mut outcomes = Vec::with_capacity(collected.len());
     let mut schedules_total = 0;
     let mut replays_total = 0;
-    for (_, outcome, replays) in collected {
+    for (outcome, replays) in collected {
         schedules_total += outcome.schedules_run;
         replays_total += replays;
         outcomes.push(outcome);

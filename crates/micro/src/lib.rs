@@ -34,11 +34,13 @@
 
 pub mod corpus;
 mod harness;
+mod par;
 mod perf;
 pub mod table1;
 
 pub use corpus::extra::extra_corpus;
 pub use corpus::{corpus, Microbenchmark, Source};
 pub use harness::{instances_for, run_benchmark, BenchRunResult, RunSettings};
+pub use par::par_map;
 pub use perf::{run_perf_comparison, summarize_groups, PerfGroupSummary, PerfRow, PerfSettings};
 pub use table1::{run_table1, run_table1_on, SiteRow, Table1, Table1Config};

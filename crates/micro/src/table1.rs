@@ -3,10 +3,10 @@
 
 use crate::corpus::{corpus, Microbenchmark};
 use crate::harness::{run_benchmark_with_sink, RunSettings};
+use crate::par::par_map;
 use golf_core::GolfConfig;
 use golf_metrics::{Align, Table};
 use golf_trace::BufferSink;
-use std::sync::Mutex;
 
 /// Experiment configuration.
 #[derive(Debug, Clone)]
@@ -153,92 +153,60 @@ impl Table1 {
 /// Runs the full Table 1 sweep over the given corpus subset (pass
 /// [`corpus()`]'s output, or a filtered subset for quick runs).
 pub fn run_table1_on(benchmarks: &[Microbenchmark], config: &Table1Config) -> Table1 {
-    let threads = if config.threads == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
-    } else {
-        config.threads
-    };
-
     // Work items: one per benchmark; each runs the full (procs × runs) grid.
     // When tracing, each work item records into its own in-memory buffer —
-    // the buffers are returned in benchmark order after the sweep, so the
+    // the buffers come back in benchmark order after the sweep, so the
     // trace is a pure function of the seed no matter how many worker
     // threads ran.
-    // (benchmark index, per-site rows, runtime failures, unexpected
-    // reports, rendered trace block)
-    type BenchResult = (usize, Vec<SiteRow>, u64, u64, Option<String>);
     let stream = golf_runtime::seed_for(config.base_seed, "table1");
-    let next = Mutex::new(0usize);
-    let results: Mutex<Vec<BenchResult>> = Mutex::new(Vec::new());
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(benchmarks.len().max(1)) {
-            scope.spawn(|| loop {
-                let idx = {
-                    let mut n = next.lock().expect("poisoned");
-                    let idx = *n;
-                    *n += 1;
-                    idx
-                };
-                if idx >= benchmarks.len() {
-                    break;
-                }
-                let mb = &benchmarks[idx];
-                let buffer = config.trace.then(BufferSink::new);
-                let mut per_site: Vec<SiteRow> = mb
-                    .sites
-                    .iter()
-                    .map(|s| SiteRow {
-                        bench: mb.name.to_string(),
-                        site: (*s).to_string(),
-                        per_proc: vec![0; config.procs.len()],
-                        runs: config.runs,
-                    })
-                    .collect();
-                let mut failures = 0u64;
-                let mut unexpected = 0u64;
-                for (pi, &procs) in config.procs.iter().enumerate() {
-                    for run in 0..config.runs {
-                        let seed = stream
-                            .wrapping_add((idx as u64) << 32)
-                            .wrapping_add((pi as u64) << 24)
-                            .wrapping_add(u64::from(run));
-                        let res = run_benchmark_with_sink(
-                            mb,
-                            &RunSettings {
-                                procs,
-                                seed,
-                                tick_budget: config.tick_budget,
-                                max_instances: config.max_instances,
-                                golf: config.golf,
-                            },
-                            buffer.clone(),
-                        );
-                        for row in per_site.iter_mut() {
-                            if res.detected_sites.contains(&row.site) {
-                                row.per_proc[pi] += 1;
-                            }
-                        }
-                        failures += u64::from(res.runtime_failure);
-                        unexpected += res.unexpected_sites.len() as u64;
+    let collected = par_map(benchmarks, config.threads, |idx, mb| {
+        let buffer = config.trace.then(BufferSink::new);
+        let mut per_site: Vec<SiteRow> = mb
+            .sites
+            .iter()
+            .map(|s| SiteRow {
+                bench: mb.name.to_string(),
+                site: (*s).to_string(),
+                per_proc: vec![0; config.procs.len()],
+                runs: config.runs,
+            })
+            .collect();
+        let mut failures = 0u64;
+        let mut unexpected = 0u64;
+        for (pi, &procs) in config.procs.iter().enumerate() {
+            for run in 0..config.runs {
+                let seed = stream
+                    .wrapping_add((idx as u64) << 32)
+                    .wrapping_add((pi as u64) << 24)
+                    .wrapping_add(u64::from(run));
+                let res = run_benchmark_with_sink(
+                    mb,
+                    &RunSettings {
+                        procs,
+                        seed,
+                        tick_budget: config.tick_budget,
+                        max_instances: config.max_instances,
+                        golf: config.golf,
+                    },
+                    buffer.clone(),
+                );
+                for row in per_site.iter_mut() {
+                    if res.detected_sites.contains(&row.site) {
+                        row.per_proc[pi] += 1;
                     }
                 }
-                let block = buffer.map(|b| b.contents());
-                results
-                    .lock()
-                    .expect("poisoned")
-                    .push((idx, per_site, failures, unexpected, block));
-            });
+                failures += u64::from(res.runtime_failure);
+                unexpected += res.unexpected_sites.len() as u64;
+            }
         }
+        (per_site, failures, unexpected, buffer.map(|b| b.contents()))
     });
 
-    let mut collected = results.into_inner().expect("poisoned");
-    collected.sort_by_key(|(idx, ..)| *idx);
     let mut rows = Vec::new();
     let mut runtime_failures = 0;
     let mut unexpected_reports = 0;
     let mut trace = Vec::new();
-    for (_, site_rows, failures, unexpected, block) in collected {
+    for (site_rows, failures, unexpected, block) in collected {
         rows.extend(site_rows);
         runtime_failures += failures;
         unexpected_reports += unexpected;

@@ -6,84 +6,59 @@
 //! operations on nil channels block forever (`B(g) = {ε}` — intrinsically
 //! undetectable by reachability, and therefore *always* detectable by GOLF).
 
-use crate::goroutine::{Blocked, Gid, WaitReason};
+use crate::goroutine::{Blocked, Gid, Goroutine, WaitReason};
 use crate::instr::{SelOp, SelectCase};
-use crate::object::{ChanState, Object, RecvSlots, Waiter};
+use crate::object::{Object, RecvSlots, Waiter};
 use crate::value::{Value, Var};
-use crate::vm::{Exec, Vm};
+use crate::vm::{operand, waiter_valid, Exec, Op, Panic, Vm};
+use golf_heap::Handle;
 use golf_trace::TraceEvent;
 use rand::Rng;
 use std::collections::VecDeque;
+use std::{iter, mem};
+
+const SEND: Op = Op::Builtin("send");
+const RECV: Op = Op::Builtin("receive");
+const CLOSE: Op = Op::Builtin("close");
+const SELECT: Op = Op::Builtin("select");
+
+/// Pops the first *valid* waiter from a channel wait queue, dropping the
+/// entries before it whose goroutine was already woken through another
+/// select case or killed (lazy sudog invalidation).
+fn pop_valid<T>(queue: &mut VecDeque<Waiter<T>>, goroutines: &[Goroutine]) -> Option<Waiter<T>> {
+    iter::from_fn(|| queue.pop_front()).find(|w| waiter_valid(goroutines, w.gid, w.token))
+}
 
 impl Vm {
-    fn chan_mut(&mut self, h: golf_heap::Handle) -> Option<&mut ChanState> {
-        match self.heap.get_mut(h) {
-            Some(Object::Chan(c)) => Some(c),
-            _ => None,
-        }
-    }
-
-    fn chan_ref(&self, h: golf_heap::Handle) -> Option<&ChanState> {
-        match self.heap.get(h) {
-            Some(Object::Chan(c)) => Some(c),
-            _ => None,
-        }
-    }
-
-    /// Pops the first *valid* waiter from the channel queue `queue` picks,
-    /// skipping entries whose goroutine was already woken through another
-    /// select case or killed (lazy sudog invalidation).
-    fn pop_valid<T>(
-        &mut self,
-        ch: golf_heap::Handle,
-        queue: impl Fn(&mut ChanState) -> &mut VecDeque<Waiter<T>>,
-    ) -> Option<Waiter<T>> {
-        loop {
-            let w = queue(self.chan_mut(ch)?).pop_front()?;
-            if self.waiter_valid(w.gid, w.token) {
-                return Some(w);
-            }
-        }
-    }
-
     /// `ch <- v`.
-    pub(crate) fn exec_send(&mut self, gid: Gid, chv: Value, v: Value) -> Exec {
-        let Value::Ref(h) = chv else {
+    pub(crate) fn exec_send(&mut self, gid: Gid, chv: Value, v: Value) -> Result<Exec, Panic> {
+        let Value::Ref(_) = chv else {
             // Send on nil channel: blocks forever on ε.
             self.park(gid, WaitReason::ChanSendNilChan, Blocked::Epsilon);
-            return Exec::Parked;
+            return Ok(Exec::Parked);
         };
-        let Some(c) = self.chan_ref(h) else {
-            return self.goroutine_panic(gid, "send on non-channel value");
-        };
-        if c.closed {
-            return self.goroutine_panic(gid, "send on closed channel");
+        if operand(SEND, chv, |h| self.heap.get(h), Object::as_chan)?.1.closed {
+            return Err(Panic::Go("send on closed channel"));
         }
-        // Rendezvous with a waiting receiver.
-        if let Some(w) = self.pop_valid(h, |c| &mut c.recvq) {
+        let (h, c) = operand(SEND, chv, |h| self.heap.get_mut(h), Object::as_chan_mut)?;
+        if let Some(w) = pop_valid(&mut c.recvq, &self.goroutines) {
+            // Rendezvous with a waiting receiver.
             self.resume_receiver(&w, v, true);
-            if self.trace_enabled() {
-                self.trace_emit(TraceEvent::ChanSend { gid: gid.into(), chan: h });
-            }
-            return Exec::Continue;
+        } else if c.buf.len() < c.cap {
+            // Buffered channel with room.
+            c.buf.push_back(v);
+            self.heap.refresh_size(h);
+        } else {
+            // Block.
+            let token = self.park(gid, WaitReason::ChanSend, Blocked::Chans(vec![h]));
+            let (_, c) = operand(SEND, chv, |h| self.heap.get_mut(h), Object::as_chan_mut)?;
+            c.sendq.push_back(Waiter { gid, token, op: v, select_target: None });
+            return Ok(Exec::Parked);
         }
-        // Buffered channel with room.
-        {
-            let c = self.chan_mut(h).expect("checked above");
-            if c.buf.len() < c.cap {
-                c.buf.push_back(v);
-                self.heap.refresh_size(h);
-                if self.trace_enabled() {
-                    self.trace_emit(TraceEvent::ChanSend { gid: gid.into(), chan: h });
-                }
-                return Exec::Continue;
-            }
+        if self.trace_enabled() {
+            self.trace_emit(TraceEvent::ChanSend { gid: gid.into(), chan: h });
         }
-        // Block.
-        let token = self.park(gid, WaitReason::ChanSend, Blocked::Chans(vec![h]));
-        let c = self.chan_mut(h).expect("checked above");
-        c.sendq.push_back(Waiter { gid, token, op: v, select_target: None });
-        Exec::Parked
+        Ok(Exec::Continue)
     }
 
     /// `dst, ok := <-ch`.
@@ -93,38 +68,35 @@ impl Vm {
         chv: Value,
         dst: Option<Var>,
         ok_dst: Option<Var>,
-    ) -> Exec {
-        let Value::Ref(h) = chv else {
+    ) -> Result<Exec, Panic> {
+        let Value::Ref(_) = chv else {
             self.park(gid, WaitReason::ChanReceiveNilChan, Blocked::Epsilon);
-            return Exec::Parked;
+            return Ok(Exec::Parked);
         };
-        let Some(c) = self.chan_mut(h) else {
-            return self.goroutine_panic(gid, "receive on non-channel value");
-        };
-        let (buffered, closed) = (c.buf.pop_front(), c.closed);
-        let (v, ok) = if let Some(v) = buffered {
+        let (h, c) = operand(RECV, chv, |h| self.heap.get_mut(h), Object::as_chan_mut)?;
+        let (v, ok) = if let Some(v) = c.buf.pop_front() {
             // Refill the buffer from a parked sender, if any.
-            if let Some(w) = self.pop_valid(h, |c| &mut c.sendq) {
-                self.chan_mut(h).expect("checked").buf.push_back(w.op);
+            if let Some(w) = pop_valid(&mut c.sendq, &self.goroutines) {
+                c.buf.push_back(w.op);
                 self.resume(&w);
             }
             self.heap.refresh_size(h);
             (v, true)
-        } else if let Some(w) = self.pop_valid(h, |c| &mut c.sendq) {
+        } else if let Some(w) = pop_valid(&mut c.sendq, &self.goroutines) {
             // Rendezvous with a parked sender (unbuffered, or racing on an
             // empty buffer).
             self.resume(&w);
             (w.op, true)
-        } else if closed {
+        } else if c.closed {
             // Closed and drained: zero value, ok = false.
             (Value::Nil, false)
         } else {
             // Block.
             let token = self.park(gid, WaitReason::ChanReceive, Blocked::Chans(vec![h]));
-            let c = self.chan_mut(h).expect("checked");
+            let (_, c) = operand(RECV, chv, |h| self.heap.get_mut(h), Object::as_chan_mut)?;
             let op = RecvSlots { dst, ok_dst };
             c.recvq.push_back(Waiter { gid, token, op, select_target: None });
-            return Exec::Parked;
+            return Ok(Exec::Parked);
         };
         if let Some(d) = dst {
             self.write_var(gid, d, v);
@@ -135,48 +107,43 @@ impl Vm {
         if ok && self.trace_enabled() {
             self.trace_emit(TraceEvent::ChanRecv { gid: gid.into(), chan: h });
         }
-        Exec::Continue
+        Ok(Exec::Continue)
     }
 
     /// `close(ch)`.
-    pub(crate) fn exec_close(&mut self, gid: Gid, chv: Value) -> Exec {
-        let Value::Ref(h) = chv else {
-            return self.goroutine_panic(gid, "close of nil channel");
-        };
-        let Some(c) = self.chan_mut(h) else {
-            return self.goroutine_panic(gid, "close of non-channel value");
-        };
+    pub(crate) fn exec_close(&mut self, gid: Gid, chv: Value) -> Result<Exec, Panic> {
+        let Value::Ref(_) = chv else { return Err(Panic::Go("close of nil channel")) };
+        let (h, c) = operand(CLOSE, chv, |h| self.heap.get_mut(h), Object::as_chan_mut)?;
         if c.closed {
-            return self.goroutine_panic(gid, "close of closed channel");
+            return Err(Panic::Go("close of closed channel"));
         }
         c.closed = true;
+        let (recvq, sendq) = (mem::take(&mut c.recvq), mem::take(&mut c.sendq));
         if self.trace_enabled() {
             self.trace_emit(TraceEvent::ChanClose { gid: gid.into(), chan: h });
         }
         // Wake every parked receiver with the zero value (buffer is
         // necessarily empty when receivers are parked).
-        while let Some(w) = self.pop_valid(h, |c| &mut c.recvq) {
-            self.resume_receiver(&w, Value::Nil, false);
+        for w in recvq {
+            if waiter_valid(&self.goroutines, w.gid, w.token) {
+                self.resume_receiver(&w, Value::Nil, false);
+            }
         }
-        // Parked senders observe the close and panic (Go semantics).
-        let mut panicking = Vec::new();
-        while let Some(w) = self.pop_valid(h, |c| &mut c.sendq) {
-            panicking.push(w);
-        }
-        for w in panicking {
-            // A select with several send arms on this channel is queued once
-            // per arm; only its first entry panics it.
-            if !self.waiter_valid(w.gid, w.token) {
+        // Parked senders observe the close and panic (Go semantics). A
+        // select with several send arms on this channel is queued once per
+        // arm; only its first entry panics it.
+        for w in sendq {
+            if !waiter_valid(&self.goroutines, w.gid, w.token) {
                 continue;
             }
             self.resume(&w);
             if let e @ Exec::Finished = self.goroutine_panic(w.gid, "send on closed channel") {
                 if self.fatal.is_some() {
-                    return e;
+                    return Ok(e);
                 }
             }
         }
-        Exec::Continue
+        Ok(Exec::Continue)
     }
 
     /// A `select` statement.
@@ -185,23 +152,23 @@ impl Vm {
         gid: Gid,
         cases: &[SelectCase],
         default_target: Option<usize>,
-    ) -> Exec {
-        // Which cases are ready right now?
+    ) -> Result<Exec, Panic> {
+        // Which cases are ready right now? Nil channels never are.
         let mut ready: Vec<usize> = Vec::new();
         for (i, case) in cases.iter().enumerate() {
             let chv = self.read_var(gid, case.op.chan_var());
-            let Value::Ref(h) = chv else { continue }; // nil channels never ready
-            let Some(c) = self.chan_ref(h) else { continue };
-            let is_ready = match &case.op {
+            let Value::Ref(_) = chv else { continue };
+            let (_, c) = operand(SELECT, chv, |h| self.heap.get(h), Object::as_chan)?;
+            let is_ready = match case.op {
                 SelOp::Send { .. } => {
                     c.closed
                         || c.buf.len() < c.cap
-                        || c.recvq.iter().any(|w| self.waiter_valid(w.gid, w.token))
+                        || c.recvq.iter().any(|w| waiter_valid(&self.goroutines, w.gid, w.token))
                 }
                 SelOp::Recv { .. } => {
                     c.closed
                         || !c.buf.is_empty()
-                        || c.sendq.iter().any(|w| self.waiter_valid(w.gid, w.token))
+                        || c.sendq.iter().any(|w| waiter_valid(&self.goroutines, w.gid, w.token))
                 }
             };
             if is_ready {
@@ -211,90 +178,81 @@ impl Vm {
 
         if !ready.is_empty() {
             // Non-deterministic uniform choice among ready cases (Go spec).
-            let pick = ready[self.rng.gen_range(0..ready.len())];
-            let case = &cases[pick];
-            let target = case.target;
-            let op = case.op.clone();
-            let result = match op {
+            let case = &cases[ready[self.rng.gen_range(0..ready.len())]];
+            let result = match case.op {
                 SelOp::Send { ch, val } => {
                     let chv = self.read_var(gid, ch);
                     let v = self.read_var(gid, val);
-                    self.exec_send(gid, chv, v)
+                    self.exec_send(gid, chv, v)?
                 }
                 SelOp::Recv { ch, dst, ok_dst } => {
                     let chv = self.read_var(gid, ch);
-                    self.exec_recv(gid, chv, dst, ok_dst)
+                    self.exec_recv(gid, chv, dst, ok_dst)?
                 }
             };
-            return match result {
-                Exec::Continue => {
-                    // Jump to the chosen arm.
-                    let g = &mut self.goroutines[gid.index() as usize];
-                    g.frames.last_mut().expect("no frame").pc = target;
-                    Exec::Continue
-                }
-                // send-on-closed panics propagate; a ready case cannot park.
-                other => other,
-            };
+            // A ready case cannot park: jump to the chosen arm.
+            if let Exec::Continue = result {
+                let g = &mut self.goroutines[gid.index() as usize];
+                g.frames.last_mut().expect("no frame").pc = case.target;
+            }
+            return Ok(result);
         }
 
         if let Some(t) = default_target {
             let g = &mut self.goroutines[gid.index() as usize];
             g.frames.last_mut().expect("no frame").pc = t;
-            return Exec::Continue;
+            return Ok(Exec::Continue);
         }
 
-        // Block on every (non-nil) case channel.
-        let mut chans = Vec::new();
-        for case in cases {
-            if let Value::Ref(h) = self.read_var(gid, case.op.chan_var()) {
-                if self.chan_ref(h).is_some() {
-                    chans.push((h, case));
-                }
-            }
-        }
-        if chans.is_empty() {
+        // Block on every non-nil case channel.
+        let chan = |c: &SelectCase| self.read_var(gid, c.op.chan_var()).as_ref_handle();
+        let handles: Vec<Handle> = cases.iter().filter_map(chan).collect();
+        if handles.is_empty() {
             // `select {}` or all-nil channels: blocks forever on ε.
             self.park(gid, WaitReason::SelectNoCases, Blocked::Epsilon);
-            return Exec::Parked;
+            return Ok(Exec::Parked);
         }
-        let handles: Vec<_> = chans.iter().map(|(h, _)| *h).collect();
         let token = self.park(gid, WaitReason::Select, Blocked::Chans(handles));
         if let Some(g) = self.g_mut(gid) {
             g.dirty_select_state = true;
         }
-        for (h, case) in chans {
+        for case in cases {
+            let chv = self.read_var(gid, case.op.chan_var());
+            let Value::Ref(_) = chv else { continue };
             let select_target = Some(case.target);
             match case.op {
                 SelOp::Send { val, .. } => {
                     let op = self.read_var(gid, val);
-                    let c = self.chan_mut(h).expect("validated above");
+                    let (_, c) =
+                        operand(SELECT, chv, |h| self.heap.get_mut(h), Object::as_chan_mut)?;
                     c.sendq.push_back(Waiter { gid, token, op, select_target });
                 }
                 SelOp::Recv { dst, ok_dst, .. } => {
                     let op = RecvSlots { dst, ok_dst };
-                    let c = self.chan_mut(h).expect("validated above");
+                    let (_, c) =
+                        operand(SELECT, chv, |h| self.heap.get_mut(h), Object::as_chan_mut)?;
                     c.recvq.push_back(Waiter { gid, token, op, select_target });
                 }
             }
         }
-        Exec::Parked
+        Ok(Exec::Parked)
     }
 
     /// Fires a timer: delivers the tick value into the channel like a
     /// runtime-internal sender (never blocks; `time.After` channels have
     /// capacity 1 and a single send).
-    pub(crate) fn timer_fire(&mut self, ch: golf_heap::Handle) {
-        if self.chan_ref(ch).is_none_or(|c| c.closed) {
+    pub(crate) fn timer_fire(&mut self, ch: Handle) {
+        if self.heap.get(ch).and_then(Object::as_chan).is_none_or(|c| c.closed) {
             return;
         }
         let now = Value::Int(self.tick as i64);
-        if let Some(w) = self.pop_valid(ch, |c| &mut c.recvq) {
-            self.resume_receiver(&w, now, true);
-            return;
+        let Some(c) = self.heap.get_mut(ch).and_then(Object::as_chan_mut) else { return };
+        match pop_valid(&mut c.recvq, &self.goroutines) {
+            Some(w) => self.resume_receiver(&w, now, true),
+            None => {
+                c.buf.push_back(now);
+                self.heap.refresh_size(ch);
+            }
         }
-        let c = self.chan_mut(ch).expect("checked");
-        c.buf.push_back(now);
-        self.heap.refresh_size(ch);
     }
 }

@@ -279,37 +279,9 @@ pub enum Instr {
     Nop,
 }
 
-impl Instr {
-    /// Whether this instruction can park the executing goroutine.
-    pub fn can_block(&self) -> bool {
-        matches!(
-            self,
-            Instr::Send { .. }
-                | Instr::Recv { .. }
-                | Instr::Select { .. }
-                | Instr::Lock(_)
-                | Instr::RLock(_)
-                | Instr::WLock(_)
-                | Instr::WgWait(_)
-                | Instr::CondWait { .. }
-                | Instr::Sleep(_)
-                | Instr::SleepVar(_)
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn blocking_classification() {
-        assert!(Instr::Send { ch: Var(0), val: Var(1) }.can_block());
-        assert!(Instr::Select { cases: vec![], default_target: None }.can_block());
-        assert!(!Instr::Close(Var(0)).can_block());
-        assert!(!Instr::Yield.can_block());
-        assert!(Instr::Sleep(5).can_block());
-    }
 
     #[test]
     fn selop_chan_var() {

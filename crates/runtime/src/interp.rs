@@ -1,23 +1,46 @@
 //! The instruction interpreter: fetch/decode/execute for one goroutine step.
 
-use crate::goroutine::{Gid, WaitReason};
+use crate::goroutine::Gid;
 use crate::instr::{BinOp, Instr};
 use crate::object::{MutexState, Object, SliceVals};
 use crate::value::Value;
-use crate::vm::{Alarm, Exec, Finalizer, Vm};
+use crate::vm::{operand, Alarm, Exec, Finalizer, Op, Panic, Vm};
 use golf_trace::TraceEvent;
 use rand::Rng;
 use std::cmp::Reverse;
 
+const FIELD: Op = Op::Builtin("field access");
+const APPEND: Op = Op::Builtin("append");
+const INDEX: Op = Op::Builtin("index");
+const LEN: Op = Op::Builtin("len");
+const DEREF: Op = Op::Builtin("deref");
+
 impl Vm {
-    /// Executes one instruction of `gid`. The pc is advanced *before*
-    /// execution so blocking operations resume after themselves on wake.
-    pub(crate) fn exec_one(&mut self, gid: Gid) -> Exec {
+    /// Runs `gid` for up to `quantum` instructions, until it parks,
+    /// finishes, yields or panics, and says whether the program crashed.
+    /// Out of line with the interpreter inlined, an idle tick stays small
+    /// and an instruction costs no call (golfbench heap_churn, corpus_sweep).
+    #[inline(never)]
+    pub(crate) fn run_quantum(&mut self, gid: Gid, quantum: u32) -> bool {
+        for _ in 0..quantum {
+            match self.exec_one(gid).unwrap_or_else(|p| self.goroutine_panic(gid, p)) {
+                Exec::Continue if self.fatal.is_some() => return true,
+                Exec::Continue => {}
+                Exec::Parked | Exec::Finished | Exec::Yielded => break,
+            }
+        }
+        false
+    }
+
+    /// Executes one instruction of `gid`, or says why the goroutine panics
+    /// instead. The pc is advanced *before* execution so blocking
+    /// operations resume after themselves on wake.
+    #[inline(always)]
+    fn exec_one(&mut self, gid: Gid) -> Result<Exec, Panic> {
         // A pending cond-wait relock takes priority over the next instruction.
         if let Some(mu) = self.g_mut(gid).and_then(|g| g.pending_lock.take()) {
-            if let e @ Exec::Parked = self.exec_lock(gid, Value::Ref(mu), WaitReason::SyncMutexLock)
-            {
-                return e;
+            if let e @ Exec::Parked = self.exec_lock(gid, Value::Ref(mu))? {
+                return Ok(e);
             }
         }
 
@@ -31,7 +54,7 @@ impl Vm {
         frame.pc = pc + 1;
         self.instrs += 1;
 
-        match instr {
+        Ok(match instr {
             Instr::Const(dst, v) => {
                 self.write_var(gid, dst, v);
                 Exec::Continue
@@ -44,13 +67,10 @@ impl Vm {
             Instr::Bin(op, dst, a, b) => {
                 let va = self.read_var(gid, a);
                 let vb = self.read_var(gid, b);
-                match eval_bin(op, va, vb) {
-                    Some(v) => {
-                        self.write_var(gid, dst, v);
-                        Exec::Continue
-                    }
-                    None => self.goroutine_panic(gid, "invalid operands to binary operator"),
-                }
+                let v =
+                    eval_bin(op, va, vb).ok_or(Panic::Go("invalid operands to binary operator"))?;
+                self.write_var(gid, dst, v);
+                Exec::Continue
             }
             Instr::Not(dst, src) => {
                 let v = self.read_var(gid, src);
@@ -102,7 +122,7 @@ impl Vm {
                 let frame = g.frames.pop().expect("return without frame");
                 if g.frames.is_empty() {
                     self.finish_goroutine(gid);
-                    return Exec::Finished;
+                    return Ok(Exec::Finished);
                 }
                 if let Some(dst) = frame.ret_dst {
                     self.write_var(gid, dst, v);
@@ -137,34 +157,20 @@ impl Vm {
                 self.write_var(gid, dst, Value::Ref(h));
                 Exec::Continue
             }
-            Instr::GetField(dst, obj, idx) => match self.read_var(gid, obj) {
-                Value::Ref(h) => match self.heap.get(h) {
-                    Some(Object::Struct { fields, .. }) => {
-                        let Some(v) = fields.get(idx as usize).copied() else {
-                            return self.goroutine_panic(gid, "field index out of range");
-                        };
-                        self.write_var(gid, dst, v);
-                        Exec::Continue
-                    }
-                    _ => self.goroutine_panic(gid, "field access on non-struct"),
-                },
-                _ => self.goroutine_panic(gid, "nil pointer dereference"),
-            },
+            Instr::GetField(dst, obj, idx) => {
+                let objv = self.read_var(gid, obj);
+                let (_, fields) = operand(FIELD, objv, |h| self.heap.get(h), Object::as_fields)?;
+                let v = *fields.get(idx as usize).ok_or(Panic::Go("field index out of range"))?;
+                self.write_var(gid, dst, v);
+                Exec::Continue
+            }
             Instr::SetField(obj, idx, src) => {
                 let v = self.read_var(gid, src);
-                match self.read_var(gid, obj) {
-                    Value::Ref(h) => match self.heap.get_mut(h) {
-                        Some(Object::Struct { fields, .. }) => {
-                            let Some(slot) = fields.get_mut(idx as usize) else {
-                                return self.goroutine_panic(gid, "field index out of range");
-                            };
-                            *slot = v;
-                            Exec::Continue
-                        }
-                        _ => self.goroutine_panic(gid, "field access on non-struct"),
-                    },
-                    _ => self.goroutine_panic(gid, "nil pointer dereference"),
-                }
+                let objv = self.read_var(gid, obj);
+                let (_, fields) =
+                    operand(FIELD, objv, |h| self.heap.get_mut(h), Object::as_fields_mut)?;
+                *fields.get_mut(idx as usize).ok_or(Panic::Go("field index out of range"))? = v;
+                Exec::Continue
             }
             Instr::NewSlice(dst) => {
                 let h = self.heap.alloc(Object::Slice(SliceVals::default()));
@@ -173,94 +179,53 @@ impl Vm {
             }
             Instr::SlicePush(slice, val) => {
                 let v = self.read_var(gid, val);
-                match self.read_var(gid, slice) {
-                    Value::Ref(h) => match self.heap.get_mut(h) {
-                        Some(Object::Slice(vs)) => {
-                            vs.push(v);
-                            self.heap.refresh_size(h);
-                            Exec::Continue
-                        }
-                        _ => self.goroutine_panic(gid, "append to non-slice"),
-                    },
-                    _ => self.goroutine_panic(gid, "nil pointer dereference"),
-                }
+                let sv = self.read_var(gid, slice);
+                let (h, vs) = operand(APPEND, sv, |h| self.heap.get_mut(h), Object::as_slice_mut)?;
+                vs.push(v);
+                self.heap.refresh_size(h);
+                Exec::Continue
             }
             Instr::SliceGet(dst, slice, idx) => {
                 let i = self.read_var(gid, idx).as_int().unwrap_or(-1);
-                match self.read_var(gid, slice) {
-                    Value::Ref(h) => match self.heap.get(h) {
-                        Some(Object::Slice(vs)) => {
-                            match usize::try_from(i).ok().and_then(|i| vs.get(i)) {
-                                Some(v) => {
-                                    let v = *v;
-                                    self.write_var(gid, dst, v);
-                                    Exec::Continue
-                                }
-                                None => self.goroutine_panic(gid, "index out of range"),
-                            }
-                        }
-                        _ => self.goroutine_panic(gid, "index of non-slice"),
-                    },
-                    _ => self.goroutine_panic(gid, "nil pointer dereference"),
-                }
+                let sv = self.read_var(gid, slice);
+                let (_, vs) = operand(INDEX, sv, |h| self.heap.get(h), Object::as_slice)?;
+                let v = usize::try_from(i).ok().and_then(|i| vs.get(i).copied());
+                self.write_var(gid, dst, v.ok_or(Panic::Go("index out of range"))?);
+                Exec::Continue
             }
             Instr::SliceSet(slice, idx, val) => {
                 let i = self.read_var(gid, idx).as_int().unwrap_or(-1);
                 let v = self.read_var(gid, val);
-                match self.read_var(gid, slice) {
-                    Value::Ref(h) => match self.heap.get_mut(h) {
-                        Some(Object::Slice(vs)) => {
-                            if usize::try_from(i).is_ok_and(|i| vs.set(i, v)) {
-                                Exec::Continue
-                            } else {
-                                self.goroutine_panic(gid, "index out of range")
-                            }
-                        }
-                        _ => self.goroutine_panic(gid, "index of non-slice"),
-                    },
-                    _ => self.goroutine_panic(gid, "nil pointer dereference"),
+                let sv = self.read_var(gid, slice);
+                let (_, vs) = operand(INDEX, sv, |h| self.heap.get_mut(h), Object::as_slice_mut)?;
+                if !usize::try_from(i).is_ok_and(|i| vs.set(i, v)) {
+                    return Err(Panic::Go("index out of range"));
                 }
+                Exec::Continue
             }
-            Instr::SliceLen(dst, slice) => match self.read_var(gid, slice) {
-                Value::Ref(h) => match self.heap.get(h) {
-                    Some(Object::Slice(vs)) => {
-                        let n = vs.len() as i64;
-                        self.write_var(gid, dst, Value::Int(n));
-                        Exec::Continue
-                    }
-                    _ => self.goroutine_panic(gid, "len of non-slice"),
-                },
-                _ => self.goroutine_panic(gid, "nil pointer dereference"),
-            },
+            Instr::SliceLen(dst, slice) => {
+                let sv = self.read_var(gid, slice);
+                let n = operand(LEN, sv, |h| self.heap.get(h), Object::as_slice)?.1.len();
+                self.write_var(gid, dst, Value::Int(n as i64));
+                Exec::Continue
+            }
             Instr::NewCell(dst, src) => {
                 let v = self.read_var(gid, src);
                 let h = self.heap.alloc(Object::Cell(v));
                 self.write_var(gid, dst, Value::Ref(h));
                 Exec::Continue
             }
-            Instr::CellGet(dst, cell) => match self.read_var(gid, cell) {
-                Value::Ref(h) => match self.heap.get(h) {
-                    Some(Object::Cell(v)) => {
-                        let v = *v;
-                        self.write_var(gid, dst, v);
-                        Exec::Continue
-                    }
-                    _ => self.goroutine_panic(gid, "deref of non-cell"),
-                },
-                _ => self.goroutine_panic(gid, "nil pointer dereference"),
-            },
+            Instr::CellGet(dst, cell) => {
+                let cv = self.read_var(gid, cell);
+                let v = *operand(DEREF, cv, |h| self.heap.get(h), Object::as_cell)?.1;
+                self.write_var(gid, dst, v);
+                Exec::Continue
+            }
             Instr::CellSet(cell, src) => {
                 let v = self.read_var(gid, src);
-                match self.read_var(gid, cell) {
-                    Value::Ref(h) => match self.heap.get_mut(h) {
-                        Some(Object::Cell(slot)) => {
-                            *slot = v;
-                            Exec::Continue
-                        }
-                        _ => self.goroutine_panic(gid, "deref of non-cell"),
-                    },
-                    _ => self.goroutine_panic(gid, "nil pointer dereference"),
-                }
+                let cv = self.read_var(gid, cell);
+                *operand(DEREF, cv, |h| self.heap.get_mut(h), Object::as_cell_mut)?.1 = v;
+                Exec::Continue
             }
             Instr::NewBlob { dst, bytes } => {
                 let h = self.heap.alloc(Object::Blob { bytes: bytes as usize });
@@ -273,7 +238,7 @@ impl Vm {
                         let stall =
                             (bytes.saturating_mul(heap_bytes) / assist.scale.max(1)).min(200);
                         if stall > 0 {
-                            return self.sleep_until(gid, self.tick + stall);
+                            return Ok(self.sleep_until(gid, self.tick + stall));
                         }
                     }
                 }
@@ -311,18 +276,18 @@ impl Vm {
             Instr::Send { ch, val } => {
                 let chv = self.read_var(gid, ch);
                 let v = self.read_var(gid, val);
-                self.exec_send(gid, chv, v)
+                self.exec_send(gid, chv, v)?
             }
             Instr::Recv { ch, dst, ok_dst } => {
                 let chv = self.read_var(gid, ch);
-                self.exec_recv(gid, chv, dst, ok_dst)
+                self.exec_recv(gid, chv, dst, ok_dst)?
             }
             Instr::Close(ch) => {
                 let chv = self.read_var(gid, ch);
-                self.exec_close(gid, chv)
+                self.exec_close(gid, chv)?
             }
             Instr::Select { cases, default_target } => {
-                self.exec_select(gid, &cases, default_target)
+                self.exec_select(gid, &cases, default_target)?
             }
 
             Instr::NewMutex(dst) => {
@@ -358,52 +323,52 @@ impl Vm {
             }
             Instr::Lock(mu) => {
                 let v = self.read_var(gid, mu);
-                self.exec_lock(gid, v, WaitReason::SyncMutexLock)
+                self.exec_lock(gid, v)?
             }
             Instr::Unlock(mu) => {
                 let v = self.read_var(gid, mu);
-                self.exec_unlock(gid, v)
+                self.exec_unlock(v)?
             }
             Instr::RLock(rw) => {
                 let v = self.read_var(gid, rw);
-                self.exec_rlock(gid, v)
+                self.exec_rlock(gid, v)?
             }
             Instr::RUnlock(rw) => {
                 let v = self.read_var(gid, rw);
-                self.exec_runlock(gid, v)
+                self.exec_runlock(v)?
             }
             Instr::WLock(rw) => {
                 let v = self.read_var(gid, rw);
-                self.exec_wlock(gid, v)
+                self.exec_wlock(gid, v)?
             }
             Instr::WUnlock(rw) => {
                 let v = self.read_var(gid, rw);
-                self.exec_wunlock(gid, v)
+                self.exec_wunlock(v)?
             }
             Instr::WgAdd(wg, n) => {
                 let v = self.read_var(gid, wg);
-                self.exec_wg_add(gid, v, n)
+                self.exec_wg_add(v, n)?
             }
             Instr::WgDone(wg) => {
                 let v = self.read_var(gid, wg);
-                self.exec_wg_add(gid, v, -1)
+                self.exec_wg_add(v, -1)?
             }
             Instr::WgWait(wg) => {
                 let v = self.read_var(gid, wg);
-                self.exec_wg_wait(gid, v)
+                self.exec_wg_wait(gid, v)?
             }
             Instr::CondWait { cond, mutex } => {
                 let cv = self.read_var(gid, cond);
                 let mv = self.read_var(gid, mutex);
-                self.exec_cond_wait(gid, cv, mv)
+                self.exec_cond_wait(gid, cv, mv)?
             }
             Instr::CondSignal(cond) => {
                 let v = self.read_var(gid, cond);
-                self.exec_cond_signal(gid, v, false)
+                self.exec_cond_signal(v, false)?
             }
             Instr::CondBroadcast(cond) => {
                 let v = self.read_var(gid, cond);
-                self.exec_cond_signal(gid, v, true)
+                self.exec_cond_signal(v, true)?
             }
 
             Instr::GcCall => {
@@ -415,18 +380,18 @@ impl Vm {
                 self.write_var(gid, dst, Value::Int(t));
                 Exec::Continue
             }
-            Instr::SetFinalizer { obj, func } => match self.read_var(gid, obj) {
-                Value::Ref(h) => {
-                    if !self.heap.set_finalizer(h, Finalizer { func }) {
-                        return self.goroutine_panic(gid, "SetFinalizer on dead object");
-                    }
-                    Exec::Continue
+            Instr::SetFinalizer { obj, func } => {
+                let Value::Ref(h) = self.read_var(gid, obj) else {
+                    return Err(Panic::Go("SetFinalizer on non-pointer"));
+                };
+                if !self.heap.set_finalizer(h, Finalizer { func }) {
+                    return Err(Panic::Go("SetFinalizer on dead object"));
                 }
-                _ => self.goroutine_panic(gid, "SetFinalizer on non-pointer"),
-            },
-            Instr::Panic(msg) => self.goroutine_panic(gid, msg),
+                Exec::Continue
+            }
+            Instr::Panic(msg) => return Err(Panic::Go(msg)),
             Instr::Nop => Exec::Continue,
-        }
+        })
     }
 
     fn set_pc(&mut self, gid: Gid, pc: usize) {

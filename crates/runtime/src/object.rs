@@ -205,10 +205,66 @@ impl Object {
 
     /// Convenience accessor for channel state.
     pub fn as_chan(&self) -> Option<&ChanState> {
-        match self {
-            Object::Chan(c) => Some(c),
-            _ => None,
-        }
+        let Object::Chan(c) = self else { return None };
+        Some(c)
+    }
+
+    // One typed view per variant: the `part` of `vm::operand`.
+    pub(crate) fn as_chan_mut(&mut self) -> Option<&mut ChanState> {
+        let Object::Chan(c) = self else { return None };
+        Some(c)
+    }
+    pub(crate) fn as_mutex(&self) -> Option<&MutexState> {
+        let Object::Mutex(m) = self else { return None };
+        Some(m)
+    }
+    pub(crate) fn as_mutex_mut(&mut self) -> Option<&mut MutexState> {
+        let Object::Mutex(m) = self else { return None };
+        Some(m)
+    }
+    pub(crate) fn as_rwlock(&self) -> Option<&RwLockState> {
+        let Object::RwLock(rw) = self else { return None };
+        Some(rw)
+    }
+    pub(crate) fn as_rwlock_mut(&mut self) -> Option<&mut RwLockState> {
+        let Object::RwLock(rw) = self else { return None };
+        Some(rw)
+    }
+    pub(crate) fn as_wg(&self) -> Option<&WgState> {
+        let Object::WaitGroup(wg) = self else { return None };
+        Some(wg)
+    }
+    pub(crate) fn as_wg_mut(&mut self) -> Option<&mut WgState> {
+        let Object::WaitGroup(wg) = self else { return None };
+        Some(wg)
+    }
+    pub(crate) fn as_cond(&self) -> Option<&CondState> {
+        let Object::Cond(c) = self else { return None };
+        Some(c)
+    }
+    pub(crate) fn as_fields(&self) -> Option<&[Value]> {
+        let Object::Struct { fields, .. } = self else { return None };
+        Some(fields)
+    }
+    pub(crate) fn as_fields_mut(&mut self) -> Option<&mut [Value]> {
+        let Object::Struct { fields, .. } = self else { return None };
+        Some(fields)
+    }
+    pub(crate) fn as_slice(&self) -> Option<&SliceVals> {
+        let Object::Slice(vs) = self else { return None };
+        Some(vs)
+    }
+    pub(crate) fn as_slice_mut(&mut self) -> Option<&mut SliceVals> {
+        let Object::Slice(vs) = self else { return None };
+        Some(vs)
+    }
+    pub(crate) fn as_cell(&self) -> Option<&Value> {
+        let Object::Cell(v) = self else { return None };
+        Some(v)
+    }
+    pub(crate) fn as_cell_mut(&mut self) -> Option<&mut Value> {
+        let Object::Cell(v) = self else { return None };
+        Some(v)
     }
 }
 

@@ -2,7 +2,7 @@
 //! quanta, timers and sleep handling, and global-deadlock detection.
 
 use crate::goroutine::{GStatus, Gid};
-use crate::vm::{Alarm, Exec, RunOutcome, RunStatus, TickStatus, Vm};
+use crate::vm::{Alarm, RunOutcome, RunStatus, TickStatus, Vm};
 use golf_trace::TraceEvent;
 use rand::Rng;
 use std::collections::binary_heap::PeekMut;
@@ -58,10 +58,10 @@ impl Vm {
     }
 
     /// Policy-driven variant of [`Vm::next_runnable`]: presents the valid
-    /// runnable candidates (run-queue order) to the installed policy and
-    /// dequeues its pick. Returns the pick plus the candidate count (for
-    /// the `sched_pick` trace event). Consumes no VM RNG.
-    fn next_runnable_policy(&mut self) -> Option<(Gid, u32)> {
+    /// runnable candidates (run-queue order) to `policy` and dequeues its
+    /// pick. Returns the pick plus the candidate count (for the
+    /// `sched_pick` trace event). Consumes no VM RNG.
+    fn next_runnable_policy(&mut self, policy: &mut dyn SchedPolicy) -> Option<(Gid, u32)> {
         let mut candidates: Vec<Gid> = Vec::with_capacity(self.run_queue.len());
         for &gid in &self.run_queue {
             let g = &self.goroutines[gid.index() as usize];
@@ -75,7 +75,6 @@ impl Vm {
             }
             return None;
         }
-        let policy = self.sched_policy.as_mut().expect("policy path without policy");
         let choice = policy.pick(self.tick, &candidates).min(candidates.len() - 1);
         let chosen = candidates[choice];
         // Drop the chosen entry and every stale entry from the queue.
@@ -129,38 +128,29 @@ impl Vm {
 
         // Schedule up to P goroutines.
         let p = self.config.gomaxprocs.max(1);
-        let has_policy = self.sched_policy.is_some();
+        let max_quantum = self.config.max_quantum.max(1);
         let mut scheduled = 0;
         for _ in 0..p {
-            let picked = if has_policy {
-                self.next_runnable_policy()
-            } else {
-                self.next_runnable().map(|gid| (gid, 0))
+            // The policy, if any, picks the goroutine and its quantum.
+            let picked = match self.sched_policy.take() {
+                Some(mut policy) => {
+                    let picked = self.next_runnable_policy(policy.as_mut()).map(|(gid, of)| {
+                        (gid, policy.quantum(max_quantum).clamp(1, max_quantum), Some(of))
+                    });
+                    self.sched_policy = Some(policy);
+                    picked
+                }
+                None => {
+                    self.next_runnable().map(|gid| (gid, self.rng.gen_range(1..=max_quantum), None))
+                }
             };
-            let Some((gid, candidates)) = picked else { break };
+            let Some((gid, quantum, of)) = picked else { break };
             scheduled += 1;
-            let max_quantum = self.config.max_quantum.max(1);
-            let quantum = if has_policy {
-                let q = self.sched_policy.as_mut().expect("policy").quantum(max_quantum);
-                q.clamp(1, max_quantum)
-            } else {
-                self.rng.gen_range(1..=max_quantum)
-            };
-            if has_policy && self.trace_enabled() {
-                self.trace_emit(TraceEvent::SchedPick { gid: gid.into(), of: candidates, quantum });
+            if let (Some(of), true) = (of, self.trace_enabled()) {
+                self.trace_emit(TraceEvent::SchedPick { gid: gid.into(), of, quantum });
             }
-            for _ in 0..quantum {
-                match self.exec_one(gid) {
-                    Exec::Continue => {
-                        if self.fatal.is_some() {
-                            return TickStatus::Panicked;
-                        }
-                    }
-                    Exec::Parked | Exec::Finished | Exec::Yielded => break,
-                }
-                if self.fatal.is_some() {
-                    return TickStatus::Panicked;
-                }
+            if self.run_quantum(gid, quantum) {
+                return TickStatus::Panicked;
             }
             // Requeue if still runnable after its quantum.
             let idx = gid.index() as usize;

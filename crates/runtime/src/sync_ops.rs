@@ -5,14 +5,34 @@
 //! on `runtime_SemacquireMutex`. Consequently `B(g)` for a `sync`-blocked
 //! goroutine is the semaphore handle, and reachability of the primitive
 //! (which traces its semaphores) is what keeps the goroutine reachably live.
+//!
+//! An operation that writes on some paths only reads its primitive first,
+//! then takes it through the write barrier (`Heap::get_mut`) on the path
+//! that writes, so a handoff or a park never cancels an incremental replay.
 
-use crate::goroutine::{Blocked, Gid, WaitReason};
+use crate::goroutine::{Blocked, Gid, Goroutine, WaitReason};
 use crate::object::Object;
-use crate::sema::SemaWaiter;
+use crate::sema::{SemaTable, SemaWaiter};
 use crate::value::Value;
-use crate::vm::{Exec, Vm};
+use crate::vm::{operand, waiter_valid, Exec, Op, Panic, Vm};
 use golf_heap::Handle;
 use golf_trace::TraceEvent;
+
+const LOCK: Op = Op::Method("Mutex.Lock");
+const UNLOCK: Op = Op::Method("Mutex.Unlock");
+const RLOCK: Op = Op::Method("RWMutex.RLock");
+const RUNLOCK: Op = Op::Method("RWMutex.RUnlock");
+const WLOCK: Op = Op::Method("RWMutex.Lock");
+const WUNLOCK: Op = Op::Method("RWMutex.Unlock");
+const WG_ADD: Op = Op::Method("WaitGroup.Add");
+const WG_WAIT: Op = Op::Method("WaitGroup.Wait");
+const COND_WAIT: Op = Op::Method("Cond.Wait");
+const COND_SIGNAL: Op = Op::Method("Cond.Signal");
+
+/// Whether `sema` has a still-parked waiter.
+fn has_valid_waiter(semas: &SemaTable, goroutines: &[Goroutine], sema: Handle) -> bool {
+    semas.waiters(sema).any(|w| waiter_valid(goroutines, w.gid, w.token))
+}
 
 impl Vm {
     fn park_on_sema(&mut self, gid: Gid, sema: Handle, reason: WaitReason) -> Exec {
@@ -28,7 +48,7 @@ impl Vm {
     /// entries, and says whether there was one.
     fn wake_one(&mut self, sema: Handle) -> bool {
         while let Some(w) = self.semas.dequeue_first(sema) {
-            if self.waiter_valid(w.gid, w.token) {
+            if waiter_valid(&self.goroutines, w.gid, w.token) {
                 if self.trace_enabled() {
                     self.trace_emit(TraceEvent::SemaDequeue { gid: w.gid.into(), sema });
                 }
@@ -50,205 +70,132 @@ impl Vm {
 
     // ---- Mutex ----
 
-    pub(crate) fn exec_lock(&mut self, gid: Gid, muv: Value, reason: WaitReason) -> Exec {
-        let Value::Ref(h) = muv else {
-            return self.goroutine_panic(gid, "nil pointer dereference (Mutex.Lock)");
-        };
-        let Some(Object::Mutex(m)) = self.heap.get_mut(h) else {
-            return self.goroutine_panic(gid, "Lock on non-mutex value");
-        };
+    pub(crate) fn exec_lock(&mut self, gid: Gid, muv: Value) -> Result<Exec, Panic> {
+        let (_, m) = operand(LOCK, muv, |h| self.heap.get_mut(h), Object::as_mutex_mut)?;
         if !m.locked {
             m.locked = true;
-            return Exec::Continue;
+            return Ok(Exec::Continue);
         }
         let sema = m.sema;
-        self.park_on_sema(gid, sema, reason)
+        Ok(self.park_on_sema(gid, sema, WaitReason::SyncMutexLock))
     }
 
-    pub(crate) fn exec_unlock(&mut self, gid: Gid, muv: Value) -> Exec {
-        let Value::Ref(h) = muv else {
-            return self.goroutine_panic(gid, "nil pointer dereference (Mutex.Unlock)");
-        };
-        let Some(Object::Mutex(m)) = self.heap.get(h) else {
-            return self.goroutine_panic(gid, "Unlock on non-mutex value");
-        };
+    pub(crate) fn exec_unlock(&mut self, muv: Value) -> Result<Exec, Panic> {
+        let (_, m) = operand(UNLOCK, muv, |h| self.heap.get(h), Object::as_mutex)?;
         if !m.locked {
-            return self.goroutine_panic(gid, "sync: unlock of unlocked mutex");
+            return Err(Panic::Go("sync: unlock of unlocked mutex"));
         }
-        let sema = m.sema;
         // A woken waiter takes the lock over directly, like Go's
         // starvation-mode mutex; only with no waiter does it unlock.
-        if !self.wake_one(sema) {
-            if let Some(Object::Mutex(m)) = self.heap.get_mut(h) {
-                m.locked = false;
-            }
+        if !self.wake_one(m.sema) {
+            operand(UNLOCK, muv, |h| self.heap.get_mut(h), Object::as_mutex_mut)?.1.locked = false;
         }
-        Exec::Continue
+        Ok(Exec::Continue)
     }
 
     // ---- RWMutex ----
 
-    fn has_valid_waiter(&self, sema: Handle) -> bool {
-        self.semas.waiters(sema).any(|w| self.waiter_valid(w.gid, w.token))
-    }
-
-    pub(crate) fn exec_rlock(&mut self, gid: Gid, rwv: Value) -> Exec {
-        let Value::Ref(h) = rwv else {
-            return self.goroutine_panic(gid, "nil pointer dereference (RWMutex.RLock)");
-        };
-        let Some(Object::RwLock(rw)) = self.heap.get(h) else {
-            return self.goroutine_panic(gid, "RLock on non-RWMutex value");
-        };
-        let (writer, rsema, wsema) = (rw.writer, rw.rsema, rw.wsema);
+    pub(crate) fn exec_rlock(&mut self, gid: Gid, rwv: Value) -> Result<Exec, Panic> {
+        let (_, rw) = operand(RLOCK, rwv, |h| self.heap.get(h), Object::as_rwlock)?;
         // Writer preference: readers queue behind waiting writers.
-        if !writer && !self.has_valid_waiter(wsema) {
-            if let Some(Object::RwLock(rw)) = self.heap.get_mut(h) {
-                rw.readers += 1;
-            }
-            return Exec::Continue;
+        if rw.writer || has_valid_waiter(&self.semas, &self.goroutines, rw.wsema) {
+            return Ok(self.park_on_sema(gid, rw.rsema, WaitReason::SyncRwMutexRLock));
         }
-        self.park_on_sema(gid, rsema, WaitReason::SyncRwMutexRLock)
+        operand(RLOCK, rwv, |h| self.heap.get_mut(h), Object::as_rwlock_mut)?.1.readers += 1;
+        Ok(Exec::Continue)
     }
 
-    pub(crate) fn exec_runlock(&mut self, gid: Gid, rwv: Value) -> Exec {
-        let Value::Ref(h) = rwv else {
-            return self.goroutine_panic(gid, "nil pointer dereference (RWMutex.RUnlock)");
-        };
-        let Some(Object::RwLock(rw)) = self.heap.get(h) else {
-            return self.goroutine_panic(gid, "RUnlock on non-RWMutex value");
-        };
-        if rw.readers == 0 {
-            return self.goroutine_panic(gid, "sync: RUnlock of unlocked RWMutex");
+    pub(crate) fn exec_runlock(&mut self, rwv: Value) -> Result<Exec, Panic> {
+        if operand(RUNLOCK, rwv, |h| self.heap.get(h), Object::as_rwlock)?.1.readers == 0 {
+            return Err(Panic::Go("sync: RUnlock of unlocked RWMutex"));
         }
+        let (_, rw) = operand(RUNLOCK, rwv, |h| self.heap.get_mut(h), Object::as_rwlock_mut)?;
+        rw.readers -= 1;
+        // The last reader out hands the lock to the first waiting writer.
         let wsema = rw.wsema;
-        let remaining = {
-            let Some(Object::RwLock(rw)) = self.heap.get_mut(h) else { unreachable!() };
-            rw.readers -= 1;
-            rw.readers
-        };
-        if remaining == 0 && self.wake_one(wsema) {
-            if let Some(Object::RwLock(rw)) = self.heap.get_mut(h) {
-                rw.writer = true;
-            }
+        if rw.readers == 0 && has_valid_waiter(&self.semas, &self.goroutines, wsema) {
+            rw.writer = true;
+            self.wake_one(wsema);
         }
-        Exec::Continue
+        Ok(Exec::Continue)
     }
 
-    pub(crate) fn exec_wlock(&mut self, gid: Gid, rwv: Value) -> Exec {
-        let Value::Ref(h) = rwv else {
-            return self.goroutine_panic(gid, "nil pointer dereference (RWMutex.Lock)");
-        };
-        let Some(Object::RwLock(rw)) = self.heap.get(h) else {
-            return self.goroutine_panic(gid, "Lock on non-RWMutex value");
-        };
-        let (writer, readers, wsema) = (rw.writer, rw.readers, rw.wsema);
-        if !writer && readers == 0 {
-            if let Some(Object::RwLock(rw)) = self.heap.get_mut(h) {
-                rw.writer = true;
-            }
-            return Exec::Continue;
+    pub(crate) fn exec_wlock(&mut self, gid: Gid, rwv: Value) -> Result<Exec, Panic> {
+        let (_, rw) = operand(WLOCK, rwv, |h| self.heap.get(h), Object::as_rwlock)?;
+        if rw.writer || rw.readers > 0 {
+            return Ok(self.park_on_sema(gid, rw.wsema, WaitReason::SyncRwMutexLock));
         }
-        self.park_on_sema(gid, wsema, WaitReason::SyncRwMutexLock)
+        operand(WLOCK, rwv, |h| self.heap.get_mut(h), Object::as_rwlock_mut)?.1.writer = true;
+        Ok(Exec::Continue)
     }
 
-    pub(crate) fn exec_wunlock(&mut self, gid: Gid, rwv: Value) -> Exec {
-        let Value::Ref(h) = rwv else {
-            return self.goroutine_panic(gid, "nil pointer dereference (RWMutex.Unlock)");
-        };
-        let Some(Object::RwLock(rw)) = self.heap.get(h) else {
-            return self.goroutine_panic(gid, "Unlock on non-RWMutex value");
-        };
+    pub(crate) fn exec_wunlock(&mut self, rwv: Value) -> Result<Exec, Panic> {
+        let (_, rw) = operand(WUNLOCK, rwv, |h| self.heap.get(h), Object::as_rwlock)?;
         if !rw.writer {
-            return self.goroutine_panic(gid, "sync: Unlock of unlocked RWMutex");
+            return Err(Panic::Go("sync: Unlock of unlocked RWMutex"));
         }
-        let (rsema, wsema) = (rw.rsema, rw.wsema);
+        let rsema = rw.rsema;
         // Prefer handing off to the next writer; otherwise admit all readers.
-        if self.wake_one(wsema) {
-            return Exec::Continue;
+        if self.wake_one(rw.wsema) {
+            return Ok(Exec::Continue);
         }
         let mut admitted = 0;
         while self.wake_one(rsema) {
             admitted += 1;
         }
-        if let Some(Object::RwLock(rw)) = self.heap.get_mut(h) {
-            rw.writer = false;
-            rw.readers += admitted;
-        }
-        Exec::Continue
+        let (_, rw) = operand(WUNLOCK, rwv, |h| self.heap.get_mut(h), Object::as_rwlock_mut)?;
+        rw.writer = false;
+        rw.readers += admitted;
+        Ok(Exec::Continue)
     }
 
     // ---- WaitGroup ----
 
-    pub(crate) fn exec_wg_add(&mut self, gid: Gid, wgv: Value, n: i64) -> Exec {
-        let Value::Ref(h) = wgv else {
-            return self.goroutine_panic(gid, "nil pointer dereference (WaitGroup.Add)");
-        };
-        let Some(Object::WaitGroup(wg)) = self.heap.get_mut(h) else {
-            return self.goroutine_panic(gid, "Add on non-WaitGroup value");
-        };
+    pub(crate) fn exec_wg_add(&mut self, wgv: Value, n: i64) -> Result<Exec, Panic> {
+        let (_, wg) = operand(WG_ADD, wgv, |h| self.heap.get_mut(h), Object::as_wg_mut)?;
         wg.count += n;
         let (count, sema) = (wg.count, wg.sema);
         if count < 0 {
-            return self.goroutine_panic(gid, "sync: negative WaitGroup counter");
+            return Err(Panic::Go("sync: negative WaitGroup counter"));
         }
         if count == 0 {
             self.wake_all(sema);
         }
-        Exec::Continue
+        Ok(Exec::Continue)
     }
 
-    pub(crate) fn exec_wg_wait(&mut self, gid: Gid, wgv: Value) -> Exec {
-        let Value::Ref(h) = wgv else {
-            return self.goroutine_panic(gid, "nil pointer dereference (WaitGroup.Wait)");
-        };
-        let Some(Object::WaitGroup(wg)) = self.heap.get(h) else {
-            return self.goroutine_panic(gid, "Wait on non-WaitGroup value");
-        };
+    pub(crate) fn exec_wg_wait(&mut self, gid: Gid, wgv: Value) -> Result<Exec, Panic> {
+        let (_, wg) = operand(WG_WAIT, wgv, |h| self.heap.get(h), Object::as_wg)?;
         if wg.count == 0 {
-            return Exec::Continue;
+            return Ok(Exec::Continue);
         }
-        let sema = wg.sema;
-        self.park_on_sema(gid, sema, WaitReason::SyncWaitGroupWait)
+        Ok(self.park_on_sema(gid, wg.sema, WaitReason::SyncWaitGroupWait))
     }
 
     // ---- Cond ----
 
-    pub(crate) fn exec_cond_wait(&mut self, gid: Gid, condv: Value, muv: Value) -> Exec {
-        let Value::Ref(ch) = condv else {
-            return self.goroutine_panic(gid, "nil pointer dereference (Cond.Wait)");
-        };
-        let Some(Object::Cond(c)) = self.heap.get(ch) else {
-            return self.goroutine_panic(gid, "Wait on non-Cond value");
-        };
-        let sema = c.sema;
-        let Value::Ref(mh) = muv else {
-            return self.goroutine_panic(gid, "Cond.Wait without holding a mutex");
+    pub(crate) fn exec_cond_wait(&mut self, gid: Gid, cv: Value, mv: Value) -> Result<Exec, Panic> {
+        let sema = operand(COND_WAIT, cv, |h| self.heap.get(h), Object::as_cond)?.1.sema;
+        let Value::Ref(mh) = mv else {
+            return Err(Panic::Go("Cond.Wait without holding a mutex"));
         };
         // Atomically: unlock, park on the cond's sema, and arrange to
         // re-lock on wake (the scheduler honors `pending_lock` first).
-        if let e @ Exec::Finished = self.exec_unlock(gid, muv) {
-            return e;
-        }
+        self.exec_unlock(mv)?;
         let result = self.park_on_sema(gid, sema, WaitReason::SyncCondWait);
         if let Some(g) = self.g_mut(gid) {
             g.pending_lock = Some(mh);
         }
-        result
+        Ok(result)
     }
 
-    pub(crate) fn exec_cond_signal(&mut self, gid: Gid, condv: Value, broadcast: bool) -> Exec {
-        let Value::Ref(h) = condv else {
-            return self.goroutine_panic(gid, "nil pointer dereference (Cond.Signal)");
-        };
-        let Some(Object::Cond(c)) = self.heap.get(h) else {
-            return self.goroutine_panic(gid, "Signal on non-Cond value");
-        };
-        let sema = c.sema;
+    pub(crate) fn exec_cond_signal(&mut self, cv: Value, broadcast: bool) -> Result<Exec, Panic> {
+        let sema = operand(COND_SIGNAL, cv, |h| self.heap.get(h), Object::as_cond)?.1.sema;
         if broadcast {
             self.wake_all(sema);
         } else {
             self.wake_one(sema);
         }
-        Exec::Continue
+        Ok(Exec::Continue)
     }
 }

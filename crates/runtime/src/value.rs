@@ -16,7 +16,6 @@ use std::fmt;
 ///
 /// ```
 /// use golf_runtime::Value;
-/// assert!(Value::Nil.is_nil());
 /// assert_eq!(Value::Int(3).as_int(), Some(3));
 /// assert!(Value::Bool(true).truthy());
 /// assert!(!Value::Nil.truthy());
@@ -36,23 +35,10 @@ pub enum Value {
 }
 
 impl Value {
-    /// Whether this value is `Nil`.
-    pub fn is_nil(self) -> bool {
-        matches!(self, Value::Nil)
-    }
-
     /// The integer payload, if this is an `Int`.
     pub fn as_int(self) -> Option<i64> {
         match self {
             Value::Int(i) => Some(i),
-            _ => None,
-        }
-    }
-
-    /// The boolean payload, if this is a `Bool`.
-    pub fn as_bool(self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(b),
             _ => None,
         }
     }
@@ -139,8 +125,6 @@ mod tests {
         assert_eq!(Value::from(true), Value::Bool(true));
         assert_eq!(Value::Int(7).as_int(), Some(7));
         assert_eq!(Value::Nil.as_int(), None);
-        assert_eq!(Value::Bool(true).as_bool(), Some(true));
-        assert_eq!(Value::Int(1).as_bool(), None);
     }
 
     #[test]

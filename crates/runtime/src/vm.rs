@@ -6,13 +6,15 @@ use crate::goroutine::{Blocked, GStatus, Gid, Goroutine, WaitReason};
 use crate::object::{Object, RecvSlots, Waiter};
 use crate::sema::SemaTable;
 use crate::value::{Value, Var};
-use golf_heap::{Handle, Heap};
+use golf_heap::{Handle, Heap, Trace};
 use golf_trace::{BufferSink, GoId, TraceEvent, Tracer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// Finalizer payload attached to heap objects: the function to invoke with
@@ -168,6 +170,63 @@ pub(crate) enum Exec {
     Finished,
     /// The goroutine yielded voluntarily.
     Yielded,
+}
+
+/// An operation that takes a heap object, as its panics name it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Op {
+    /// A language operation (`send`, `field access`, ...): nil is a plain
+    /// nil dereference.
+    Builtin(&'static str),
+    /// A `sync` method (`Mutex.Lock`, ...): nil names the method.
+    Method(&'static str),
+}
+
+/// Why the executing goroutine panics.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Panic {
+    /// A Go runtime error, with Go's message.
+    Go(&'static str),
+    /// A nil operand.
+    Nil(Op),
+    /// An operand that is an object of another kind (its [`Trace::kind`]).
+    Kind(Op, &'static str),
+}
+
+impl fmt::Display for Panic {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Panic::Go(msg) => f.write_str(msg),
+            Panic::Nil(Op::Builtin(_)) => f.write_str("nil pointer dereference"),
+            Panic::Nil(Op::Method(m)) => write!(f, "nil pointer dereference ({m})"),
+            Panic::Kind(Op::Builtin(o) | Op::Method(o), kind) => write!(f, "{o} on {kind} value"),
+        }
+    }
+}
+
+/// Resolves `v`, an operand of `op`, to its handle and the part of its
+/// object that `part` picks, looking the handle up once with `lookup`:
+/// [`Heap::get`] where the operation only reads, [`Heap::get_mut`] (the
+/// write barrier) where it writes. This is the only place a nil or
+/// wrong-kind operand becomes a panic; the success path allocates and
+/// formats nothing.
+pub(crate) fn operand<O: Deref<Target = Object>, T>(
+    op: Op,
+    v: Value,
+    lookup: impl FnOnce(Handle) -> Option<O>,
+    part: impl FnOnce(O) -> Option<T>,
+) -> Result<(Handle, T), Panic> {
+    let Value::Ref(h) = v else { return Err(Panic::Nil(op)) };
+    let obj = lookup(h).ok_or(Panic::Kind(op, "freed"))?;
+    let kind = obj.kind();
+    Ok((h, part(obj).ok_or(Panic::Kind(op, kind))?))
+}
+
+/// Whether the waiter entry `(gid, token)` still refers to a parked
+/// goroutine (stale channel and semaphore entries are skipped lazily).
+pub(crate) fn waiter_valid(goroutines: &[Goroutine], gid: Gid, token: u64) -> bool {
+    let g = goroutines.get(gid.index() as usize);
+    g.is_some_and(|g| g.id == gid && g.status.is_waiting() && g.wait_token == token)
 }
 
 /// The GoVM: a deterministic, single-threaded simulation of the Go runtime
@@ -531,12 +590,6 @@ impl Vm {
         true
     }
 
-    /// Whether a waiter entry `(gid, token)` still refers to a parked
-    /// goroutine (used to lazily skip stale channel/semaphore entries).
-    pub(crate) fn waiter_valid(&self, gid: Gid, token: u64) -> bool {
-        self.goroutine(gid).is_some_and(|g| g.status.is_waiting() && g.wait_token == token)
-    }
-
     /// Normal goroutine termination: clean the slot and put it on the free
     /// list for reuse.
     pub(crate) fn finish_goroutine(&mut self, gid: Gid) {
@@ -644,32 +697,24 @@ impl Vm {
     /// "blocking channel always stores references to the goroutines
     /// blocked by it" observation the paper's §5.3 optimization builds on.
     pub fn waiters_on(&self, h: Handle) -> Vec<Gid> {
-        let mut out = Vec::new();
+        let valid = |&(gid, token): &(Gid, u64)| waiter_valid(&self.goroutines, gid, token);
         match self.heap.get(h) {
             Some(Object::Chan(c)) => {
                 let sends = c.sendq.iter().map(|w| (w.gid, w.token));
                 let recvs = c.recvq.iter().map(|w| (w.gid, w.token));
-                for (gid, token) in sends.chain(recvs) {
-                    if self.waiter_valid(gid, token) {
-                        out.push(gid);
-                    }
-                }
+                sends.chain(recvs).filter(valid).map(|(gid, _)| gid).collect()
             }
             Some(Object::Sema) => {
-                for w in self.semas.waiters(h) {
-                    if self.waiter_valid(w.gid, w.token) {
-                        out.push(w.gid);
-                    }
-                }
+                let entries = self.semas.waiters(h).map(|w| (w.gid, w.token));
+                entries.filter(valid).map(|(gid, _)| gid).collect()
             }
-            _ => {}
+            _ => Vec::new(),
         }
-        out
     }
 
     // ---- panics ----
 
-    pub(crate) fn goroutine_panic(&mut self, gid: Gid, message: &str) -> Exec {
+    pub(crate) fn goroutine_panic(&mut self, gid: Gid, message: impl fmt::Display) -> Exec {
         let location = self
             .goroutine(gid)
             .and_then(|g| g.frames.last())
@@ -727,8 +772,8 @@ impl Vm {
     }
 }
 
-impl std::fmt::Debug for Vm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Debug for Vm {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Vm")
             .field("tick", &self.tick)
             .field("goroutines", &self.live_count())
