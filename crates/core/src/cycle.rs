@@ -4,14 +4,12 @@
 
 use crate::config::{ExpansionStrategy, GcMode, GolfConfig};
 use crate::forensics;
-use crate::hints::LivenessHint;
 use crate::mark::Marker;
 use crate::report::DeadlockReport;
 use crate::stats::{GcCycleStats, GcTotals, PhaseEvent};
 use golf_heap::MarkBits;
 use golf_runtime::{GStatus, Gid, Goroutine, Value, Vm};
 use golf_trace::TraceEvent;
-use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -19,16 +17,13 @@ use std::time::Instant;
 /// steady-state cycles clear containers instead of reallocating them.
 #[derive(Debug, Default)]
 struct CycleScratch {
-    inert_globals: HashSet<golf_heap::Handle>,
-    inert_sites: HashSet<Arc<str>>,
-    /// Goroutines in the root set: reachably live so far, or hinted inert.
+    /// Goroutines in the root set: not deadlock candidates, or reachably
+    /// live so far.
     /// Keyed by goroutine slot, which is exact because no slot is reused
     /// inside [`GcEngine::collect`] up to the sweep: finalizer goroutines
     /// spawn after it, and a slot freed by [`Vm::force_shutdown`] is reused
     /// only by a spawn.
     in_roots: MarkBits,
-    /// Hinted-inert goroutines, whose stacks are marked only before the sweep.
-    inert_gids: Vec<Gid>,
     added: Vec<Gid>,
     /// Unmarked objects the reclaim loop's finalizer checks have visited,
     /// keyed by heap slot. Exact because the collector allocates no heap
@@ -39,10 +34,7 @@ struct CycleScratch {
 
 impl CycleScratch {
     fn reset(&mut self) {
-        self.inert_globals.clear();
-        self.inert_sites.clear();
         self.in_roots.clear_all();
-        self.inert_gids.clear();
         self.added.clear();
         self.finalizer_seen.clear_all();
     }
@@ -67,16 +59,12 @@ struct CycleCache {
     heap_epoch: u64,
     roots_epoch: u64,
     fingerprints: Vec<u64>,
-    /// `objects_marked` at mark-phase end, *before* the inert/preserved
-    /// re-mark passes — the count the default `gc_phase_end` trace event
-    /// carries, which differs from the final stat when hints are in play.
+    /// `objects_marked` at mark-phase end, *before* the pre-sweep drain —
+    /// the count the default `gc_phase_end` trace event carries. In
+    /// report-only mode the drain re-marks the stacks of goroutines already
+    /// reported, so a steady cycle's final stat can exceed it.
     mark_phase_count: u64,
     stats: GcCycleStats,
-}
-
-fn spawn_site_is_inert(vm: &Vm, sites: &HashSet<Arc<str>>, g: &Goroutine) -> bool {
-    !sites.is_empty()
-        && g.spawn_site.is_some_and(|s| sites.contains(&*vm.program().site_info(s).label))
 }
 
 /// The collector: owns mode, configuration, cumulative statistics, cycle
@@ -121,7 +109,6 @@ pub struct GcEngine {
     history: Vec<GcCycleStats>,
     reports: Vec<DeadlockReport>,
     keep_history: bool,
-    hints: Vec<LivenessHint>,
     scratch: CycleScratch,
     /// Replay caches indexed by detection parity (`detection as usize`), so
     /// `detect_every > 1` workloads can replay both flavors of cycle.
@@ -140,7 +127,6 @@ impl GcEngine {
             history: Vec::new(),
             reports: Vec::new(),
             keep_history: true,
-            hints: Vec::new(),
             scratch: CycleScratch::default(),
             caches: [None, None],
             cycles_replayed: 0,
@@ -181,11 +167,6 @@ impl GcEngine {
         self.keep_history = keep;
     }
 
-    /// The collector mode.
-    pub fn mode(&self) -> GcMode {
-        self.mode
-    }
-
     /// Cumulative statistics.
     pub fn totals(&self) -> &GcTotals {
         &self.totals
@@ -204,21 +185,6 @@ impl GcEngine {
     /// Removes and returns the accumulated reports.
     pub fn take_reports(&mut self) -> Vec<DeadlockReport> {
         std::mem::take(&mut self.reports)
-    }
-
-    /// Supplies a liveness hint (paper §8 future work; see
-    /// [`LivenessHint`]). Hints accumulate; memory safety is unaffected,
-    /// detection exactness depends on the hints being true.
-    pub fn add_liveness_hint(&mut self, hint: LivenessHint) {
-        self.hints.push(hint);
-        // A new hint changes what the liveness fixed point would compute;
-        // any cached cycle outcome is stale.
-        self.caches = [None, None];
-    }
-
-    /// The hints currently in effect.
-    pub fn liveness_hints(&self) -> &[LivenessHint] {
-        &self.hints
     }
 
     /// Attempts to answer this cycle from the replay cache. Succeeds only
@@ -317,28 +283,9 @@ impl GcEngine {
         vm.heap_mut().clear_marks();
         stats.phases.push(PhaseEvent::Init);
 
-        // Liveness hints (§8 future work): inert references are withheld
-        // from the liveness fixed point and re-marked before the sweep.
-        if detection {
-            for hint in &self.hints {
-                match hint {
-                    LivenessHint::InertGlobal(id) => {
-                        if let Some(h) = vm.global(*id).as_ref_handle() {
-                            scratch.inert_globals.insert(h);
-                        }
-                    }
-                    LivenessHint::InertSpawnSite(label) => {
-                        scratch.inert_sites.insert(label.clone());
-                    }
-                }
-            }
-        }
-
         let mut marker = Marker::new();
         for h in vm.runtime_root_handles() {
-            if !scratch.inert_globals.contains(&h) {
-                marker.push_root(h);
-            }
+            marker.push_root(h);
         }
 
         // Root preparation: GOLF withholds goroutines blocked at
@@ -346,13 +293,6 @@ impl GcEngine {
         // baseline includes everything (§5.1).
         let mut goroutine_roots = 0usize;
         for g in vm.live_goroutines() {
-            if detection && spawn_site_is_inert(vm, &scratch.inert_sites, g) {
-                // In the root set without its stack: never expanded or
-                // reported, and its stack is marked only before the sweep.
-                scratch.in_roots.try_set(g.id.index() as usize);
-                scratch.inert_gids.push(g.id);
-                continue;
-            }
             let include = !detection || !g.deadlock_candidate();
             if include {
                 for h in g.stack_roots() {
@@ -441,7 +381,7 @@ impl GcEngine {
         }
         stats.mark_ns = mark_start.elapsed().as_nanos() as u64;
         stats.phases.push(PhaseEvent::MarkDone);
-        // The marked count *before* the re-marks below — what the
+        // The marked count *before* the report-only drain below — what the
         // `gc_phase_end` mark event reports, cached for replay.
         let mark_phase_count = marker.marked;
         if vm.trace_enabled() {
@@ -539,21 +479,11 @@ impl GcEngine {
             } else {
                 // Report-only mode: the goroutines stay parked, so their
                 // memory must survive the sweep (only the *report* is
-                // withheld from re-emission). Marked by the drain below.
+                // withheld from re-emission).
                 for &gid in &deadlocked {
                     push_stack(&mut marker, vm, gid);
                 }
             }
-        }
-
-        // Re-mark the hinted (inert) sources: they were withheld from the
-        // liveness computation only; their memory is still reachable. The
-        // same drain marks the report-only stacks pushed above.
-        for &h in &scratch.inert_globals {
-            marker.push_root(h);
-        }
-        for &gid in &scratch.inert_gids {
-            push_stack(&mut marker, vm, gid);
         }
         marker.drain(vm.heap_mut());
         stats.objects_marked = marker.marked;

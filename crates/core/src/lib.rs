@@ -65,7 +65,6 @@
 mod config;
 mod cycle;
 pub mod forensics;
-mod hints;
 mod mark;
 pub mod oracle;
 mod report;
@@ -74,7 +73,6 @@ mod stats;
 
 pub use config::{ExpansionStrategy, GcMode, GolfConfig, Pacer, PacerConfig};
 pub use cycle::{preserved_goroutines, GcEngine};
-pub use hints::LivenessHint;
 pub use mark::Marker;
 pub use report::{dedup_counts, DeadlockReport};
 pub use session::Session;

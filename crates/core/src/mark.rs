@@ -4,7 +4,7 @@
 //! mark iterations of the GOLF fixed point, each driven through
 //! [`Marker::step`] so root expansion can inspect every object as it is
 //! blackened, and the re-marks of preserved deadlocked subgraphs and
-//! hinted-inert roots before the sweep.
+//! report-only stacks before the sweep.
 
 use golf_heap::{Handle, Heap, Trace};
 

@@ -2,11 +2,22 @@
 //! program, plus the mechanics GOLF relies on (root restriction, expansion,
 //! finalizer preservation, recovery, report deduplication).
 
-use golf_core::{GcEngine, GcMode, GolfConfig, PhaseEvent, Session};
+use golf_core::{
+    ExpansionStrategy, GcEngine, GcMode, GolfConfig, PacerConfig, PhaseEvent, Session,
+};
 use golf_runtime::{FuncBuilder, GStatus, ProgramSet, RunStatus, SelectSpec, Value, Vm, VmConfig};
+
+const STRATEGIES: [ExpansionStrategy; 3] =
+    [ExpansionStrategy::Rescan, ExpansionStrategy::FromMarked, ExpansionStrategy::Incremental];
 
 fn golf_session(p: ProgramSet) -> Session {
     Session::golf(Vm::boot(p, VmConfig::default()))
+}
+
+/// A GOLF session that expands roots with `expansion` (paper §5.3).
+fn golf_session_with(p: ProgramSet, expansion: ExpansionStrategy) -> Session {
+    let golf = GolfConfig { expansion, ..GolfConfig::default() };
+    Session::new(Vm::boot(p, VmConfig::default()), GcMode::Golf, golf, PacerConfig::default())
 }
 
 /// Paper Listing 3: NewFuncManager spawns two channel-ranging goroutines;
@@ -94,8 +105,7 @@ fn listing3_correct_path_reports_nothing() {
 
 /// Paper Listing 4: a *global* channel keeps the blocked sender reachably
 /// live forever — a by-design false negative.
-#[test]
-fn listing4_global_channel_is_a_false_negative() {
+fn listing4() -> ProgramSet {
     let mut p = ProgramSet::new();
     let global_ch = p.global("ch");
     let site = p.site("main:59");
@@ -118,19 +128,24 @@ fn listing4_global_channel_is_a_false_negative() {
     b.gc();
     b.ret(None);
     p.define(b);
+    p
+}
 
-    let mut s = golf_session(p);
-    assert_eq!(s.run(100_000).status, RunStatus::MainDone);
-    assert!(s.reports().is_empty(), "global channels hide deadlocks from GOLF");
-    // The goroutine is genuinely leaked (a baseline detector would see it).
-    assert_eq!(s.vm().blocked_count(), 1);
+#[test]
+fn listing4_global_channel_is_a_false_negative() {
+    for strategy in STRATEGIES {
+        let mut s = golf_session_with(listing4(), strategy);
+        assert_eq!(s.run(100_000).status, RunStatus::MainDone, "{strategy:?}");
+        assert!(s.reports().is_empty(), "{strategy:?}: global channels hide deadlocks from GOLF");
+        // The goroutine is genuinely leaked (a baseline detector would see it).
+        assert_eq!(s.vm().blocked_count(), 1, "{strategy:?}");
+    }
 }
 
 /// Paper Listing 5: a runaway-live heartbeat goroutine keeps the dispatcher
 /// (and its channel) reachable, hiding the blocked sender — the second
 /// false-negative pattern.
-#[test]
-fn listing5_runaway_live_goroutine_is_a_false_negative() {
+fn listing5() -> ProgramSet {
     let mut p = ProgramSet::new();
     let disp_ty = p.struct_type("dispatcher", &["ch", "ticks"]);
     let site_hb = p.site("newDispatcher:71");
@@ -180,16 +195,69 @@ fn listing5_runaway_live_goroutine_is_a_false_negative() {
     b.gc();
     b.ret(None);
     p.define(b);
+    p
+}
 
-    let mut s = golf_session(p);
-    assert_eq!(s.run(100_000).status, RunStatus::MainDone);
-    assert!(
-        s.reports().is_empty(),
-        "heartbeat keeps d.ch reachable; sender must not be reported: {:?}",
-        s.reports()
-    );
-    // Both the heartbeat (live) and the sender (leaked) remain.
-    assert_eq!(s.vm().live_count(), 2);
+#[test]
+fn listing5_runaway_live_goroutine_is_a_false_negative() {
+    for strategy in STRATEGIES {
+        let mut s = golf_session_with(listing5(), strategy);
+        assert_eq!(s.run(100_000).status, RunStatus::MainDone, "{strategy:?}");
+        assert!(
+            s.reports().is_empty(),
+            "{strategy:?}: heartbeat keeps d.ch reachable; sender must not be reported: {:?}",
+            s.reports()
+        );
+        // Both the heartbeat (live) and the sender (leaked) remain.
+        assert_eq!(s.vm().live_count(), 2, "{strategy:?}");
+    }
+}
+
+/// A blocked-waiter chain: `waiter` parks receiving on `live`, which main
+/// keeps, while its stack holds `held`, the channel `sender` parks on; main
+/// drops `held`.
+fn waiter_chain() -> ProgramSet {
+    let mut p = ProgramSet::new();
+    let site_wait = p.site("main:wait");
+    let site_send = p.site("main:send");
+
+    let mut b = FuncBuilder::new("waiter", 2);
+    let live = b.param(0);
+    b.recv(live, None);
+    b.ret(None);
+    let waiter = p.define(b);
+
+    let mut b = FuncBuilder::new("sender", 1);
+    let ch = b.param(0);
+    let v = b.int(1);
+    b.send(ch, v);
+    b.ret(None);
+    let sender = p.define(b);
+
+    let mut b = FuncBuilder::new("main", 0);
+    let live = b.var("live");
+    let held = b.var("held");
+    b.make_chan(live, 0);
+    b.make_chan(held, 0);
+    b.go(waiter, &[live, held], site_wait);
+    b.go(sender, &[held], site_send);
+    b.clear(held);
+    b.sleep(1_000_000);
+    p.define(b);
+    p
+}
+
+/// The waiter is reachably live through `live`; expanding the roots by its
+/// stack marks `held`, which makes the sender reachably live in turn.
+#[test]
+fn blocked_waiter_keeps_the_channel_it_holds_live() {
+    for strategy in STRATEGIES {
+        let mut s = golf_session_with(waiter_chain(), strategy);
+        s.run(200);
+        s.collect();
+        assert!(s.reports().is_empty(), "{strategy:?}: {:?}", s.reports());
+        assert_eq!(s.vm().blocked_count(), 2, "{strategy:?}: waiter and sender stay parked");
+    }
 }
 
 /// Paper Listing 6: a deadlocked goroutine whose stack reaches an object

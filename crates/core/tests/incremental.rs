@@ -2,7 +2,7 @@
 //! answered from the cache, any observable change invalidates it, and the
 //! replayed outcome is identical to what a full cycle computes.
 
-use golf_core::{GcEngine, GcMode, GcTotals, GolfConfig, LivenessHint};
+use golf_core::{GcEngine, GcMode, GcTotals, GolfConfig};
 use golf_runtime::{FuncBuilder, ProgramSet, Vm, VmConfig};
 
 /// A service-like program: main parks on a long sleep while one goroutine
@@ -236,16 +236,4 @@ fn incremental_and_full_runs_are_equivalent() {
     let config = VmConfig { seed: 0x601F, ..VmConfig::default() };
     let replayed = assert_modes_equivalent(|| retained_chain(2_000), config, 3_000, &[40; 200]);
     assert_eq!(replayed, 183, "replayed cycles of 200 on the retained chain");
-}
-
-#[test]
-fn new_hint_invalidates_the_cache() {
-    let mut vm = Vm::boot(idle_service(), VmConfig::default());
-    vm.run(100);
-    let mut gc = GcEngine::golf();
-    gc.collect(&mut vm);
-    gc.collect(&mut vm);
-    assert!(gc.collect(&mut vm).incremental_replayed);
-    gc.add_liveness_hint(LivenessHint::InertSpawnSite("nowhere:1".into()));
-    assert!(!gc.collect(&mut vm).incremental_replayed, "hints change the fixed point");
 }

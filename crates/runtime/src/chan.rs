@@ -213,9 +213,6 @@ impl Vm {
             return Ok(Exec::Parked);
         }
         let token = self.park(gid, WaitReason::Select, Blocked::Chans(handles));
-        if let Some(g) = self.g_mut(gid) {
-            g.dirty_select_state = true;
-        }
         for case in cases {
             let chv = self.read_var(gid, case.op.chan_var());
             let Value::Ref(_) = chv else { continue };

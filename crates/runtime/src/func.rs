@@ -108,9 +108,8 @@ pub struct ProgramSet {
 
 /// Metadata about a `go` statement site.
 ///
-/// The label is interned as an `Arc<str>`: reports, hints, and the
-/// collector's inert-site checks share one allocation per site instead of
-/// cloning a `String` per report.
+/// The label is interned as an `Arc<str>`: reports share one allocation
+/// per site instead of cloning a `String` per report.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SiteInfo {
     /// A stable label, e.g. `"NewFuncManager:34"`.

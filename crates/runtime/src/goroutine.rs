@@ -207,9 +207,6 @@ pub struct Goroutine {
     /// Set when a `sync.Cond.Wait` wake must re-acquire the mutex before the
     /// goroutine resumes.
     pub pending_lock: Option<Handle>,
-    /// Leftover select bookkeeping that regular exit paths would have
-    /// cleaned; GOLF's forced shutdown must reset it explicitly.
-    pub dirty_select_state: bool,
     /// Whether GOLF already reported this goroutine as deadlocked (avoids
     /// duplicate reports across GC cycles).
     pub reported_deadlocked: bool,
@@ -228,7 +225,6 @@ impl Goroutine {
             wait_token: 0,
             spawn_site: None,
             pending_lock: None,
-            dirty_select_state: false,
             reported_deadlocked: false,
             internal: false,
         }

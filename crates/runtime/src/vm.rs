@@ -458,10 +458,6 @@ impl Vm {
         let gid = if let Some(idx) = self.gfree.pop() {
             let old = &self.goroutines[idx as usize];
             debug_assert_eq!(old.status, GStatus::Dead);
-            debug_assert!(
-                !old.dirty_select_state,
-                "recycled a goroutine whose select state was not cleaned"
-            );
             let gid = Gid::new(idx, old.id.generation() + 1);
             self.goroutines[idx as usize] = Goroutine::new(gid);
             self.counters.reused += 1;
@@ -599,7 +595,6 @@ impl Vm {
         g.frames.clear();
         g.blocked = Blocked::None;
         g.pending_lock = None;
-        g.dirty_select_state = false;
         g.wait_token += 1;
         let idx = gid.index();
         self.gfree.push(idx);
@@ -613,8 +608,9 @@ impl Vm {
 
     /// GOLF's forced shutdown of a deadlocked goroutine (paper §5.4,
     /// "Goroutine Reuse" + "Semaphores"): unlink it from every channel wait
-    /// queue and from the semaphore table, run the special cleanup that
-    /// resets select state, and recycle the slot.
+    /// queue, which is the special cleanup a blocked select's sudogs need,
+    /// and from the semaphore table, invalidate its wait token, and recycle
+    /// the slot.
     pub fn force_shutdown(&mut self, gid: Gid) {
         let Some(g) = self.g_mut(gid) else { return };
         match std::mem::replace(&mut g.blocked, Blocked::None) {
@@ -632,9 +628,6 @@ impl Vm {
             Blocked::None | Blocked::Epsilon => {}
         }
         let g = self.g_mut(gid).expect("validated above");
-        // The special cleanup: a deadlocked select leaves sudog state that
-        // the regular exit path would have cleared (paper §5.4).
-        g.dirty_select_state = false;
         g.pending_lock = None;
         g.status = GStatus::Dead;
         g.frames.clear();
@@ -754,7 +747,6 @@ impl Vm {
         if let Some(t) = w.select_target {
             let g = &mut self.goroutines[w.gid.index() as usize];
             g.frames.last_mut().expect("no frame").pc = t;
-            g.dirty_select_state = false;
         }
         self.wake(w.gid, w.token);
     }
