@@ -153,8 +153,9 @@ impl Vm {
         cases: &[SelectCase],
         default_target: Option<usize>,
     ) -> Result<Exec, Panic> {
-        // Which cases are ready right now? Nil channels never are.
-        let mut ready: Vec<usize> = Vec::new();
+        // Which cases are ready right now? Nil channels never are. The list
+        // reuses the VM's buffer.
+        self.select_ready.clear();
         for (i, case) in cases.iter().enumerate() {
             let chv = self.read_var(gid, case.op.chan_var());
             let Value::Ref(_) = chv else { continue };
@@ -172,10 +173,11 @@ impl Vm {
                 }
             };
             if is_ready {
-                ready.push(i);
+                self.select_ready.push(i);
             }
         }
 
+        let ready = &self.select_ready;
         if !ready.is_empty() {
             // Non-deterministic uniform choice among ready cases (Go spec).
             let case = &cases[ready[self.rng.gen_range(0..ready.len())]];
@@ -192,15 +194,13 @@ impl Vm {
             };
             // A ready case cannot park: jump to the chosen arm.
             if let Exec::Continue = result {
-                let g = &mut self.goroutines[gid.index() as usize];
-                g.frames.last_mut().expect("no frame").pc = case.target;
+                self.set_pc(gid, case.target);
             }
             return Ok(result);
         }
 
         if let Some(t) = default_target {
-            let g = &mut self.goroutines[gid.index() as usize];
-            g.frames.last_mut().expect("no frame").pc = t;
+            self.set_pc(gid, t);
             return Ok(Exec::Continue);
         }
 

@@ -175,8 +175,10 @@ pub struct Frame {
     pub func: FuncId,
     /// The next instruction to execute.
     pub pc: usize,
-    /// Local variable slots.
-    pub locals: Vec<Value>,
+    /// Where this frame's locals start in [`Goroutine::stack`]; they run up
+    /// to the next frame's base, or to the end of the stack for the top
+    /// frame.
+    pub base: usize,
     /// Where the caller wants the return value, if anywhere.
     pub ret_dst: Option<crate::value::Var>,
 }
@@ -195,6 +197,13 @@ pub struct Goroutine {
     pub status: GStatus,
     /// Call stack; empty iff dead.
     pub frames: Vec<Frame>,
+    /// Every frame's locals, back to back in call order — one contiguous
+    /// stack per goroutine, as in Go. A `Return` truncates it to the popped
+    /// frame's base, so only live frames' slots are roots.
+    pub stack: Vec<Value>,
+    /// The top frame's base, hoisted out of `frames` so that a local is one
+    /// index into `stack`.
+    pub(crate) base: usize,
     /// `B(g)` — what the goroutine is blocked on.
     pub blocked: Blocked,
     /// Monotonic token bumped on every park/unpark; used to lazily invalidate
@@ -221,6 +230,8 @@ impl Goroutine {
             id,
             status: GStatus::Runnable,
             frames: Vec::new(),
+            stack: Vec::new(),
+            base: 0,
             blocked: Blocked::None,
             wait_token: 0,
             spawn_site: None,
@@ -228,6 +239,37 @@ impl Goroutine {
             reported_deadlocked: false,
             internal: false,
         }
+    }
+
+    /// Resets the slot for goroutine `id`, keeping the capacity of its
+    /// frame and stack buffers for the next occupant (Go's `gfput`/`gfget`
+    /// keep a freed `g`'s stack the same way).
+    pub(crate) fn recycle(&mut self, id: Gid) {
+        self.clear_stack();
+        let (frames, stack) = (std::mem::take(&mut self.frames), std::mem::take(&mut self.stack));
+        *self = Goroutine { frames, stack, ..Goroutine::new(id) };
+    }
+
+    /// Pushes a frame of `n_locals` nil slots for `func` and makes it the
+    /// top frame; returns its base.
+    pub(crate) fn push_frame(
+        &mut self,
+        func: FuncId,
+        n_locals: usize,
+        ret_dst: Option<crate::value::Var>,
+    ) -> usize {
+        let base = self.stack.len();
+        self.stack.resize(base + n_locals, Value::Nil);
+        self.frames.push(Frame { func, pc: 0, base, ret_dst });
+        self.base = base;
+        base
+    }
+
+    /// Drops every frame and stack slot, keeping both buffers.
+    pub(crate) fn clear_stack(&mut self) {
+        self.frames.clear();
+        self.stack.clear();
+        self.base = 0;
     }
 
     /// The wait reason, if parked.
@@ -247,17 +289,13 @@ impl Goroutine {
     /// Handles referenced by this goroutine's stack — the GC scans these
     /// when the goroutine is in the root set.
     pub fn stack_roots(&self) -> impl Iterator<Item = Handle> + '_ {
-        self.frames
-            .iter()
-            .flat_map(|f| f.locals.iter())
-            .filter_map(|v| v.as_ref_handle())
-            .chain(self.pending_lock)
+        self.stack.iter().filter_map(|v| v.as_ref_handle()).chain(self.pending_lock)
     }
 
     /// An estimate of the stack footprint in bytes (Go starts goroutines at
     /// 2 KiB plus frame data) — feeds the `StackInuse` metric.
     pub fn stack_bytes(&self) -> usize {
-        2048 + self.frames.iter().map(|f| 64 + f.locals.len() * 16).sum::<usize>()
+        2048 + self.frames.len() * 64 + self.stack.len() * 16
     }
 
     /// A compact FNV-1a fingerprint of every per-goroutine fact a GOLF cycle
@@ -336,26 +374,20 @@ mod tests {
 
     #[test]
     fn stack_roots_cover_all_frames_and_pending_lock() {
+        let mut heap: golf_heap::Heap<crate::object::Object> = golf_heap::Heap::new();
+        let h1 = heap.alloc(crate::object::Object::Sema);
+        let h2 = heap.alloc(crate::object::Object::Sema);
         let mut g = mk(GStatus::Runnable);
-        let h1 = {
-            let mut heap: golf_heap::Heap<crate::object::Object> = golf_heap::Heap::new();
-            heap.alloc(crate::object::Object::Sema)
-        };
-        g.frames.push(Frame {
-            func: FuncId(0),
-            pc: 0,
-            locals: vec![Value::Int(1), Value::Ref(h1)],
-            ret_dst: None,
-        });
-        g.frames.push(Frame {
-            func: FuncId(1),
-            pc: 0,
-            locals: vec![Value::Nil],
-            ret_dst: Some(Var(0)),
-        });
+        let base = g.push_frame(FuncId(0), 2, None);
+        g.stack[base..].copy_from_slice(&[Value::Int(1), Value::Ref(h1)]);
+        let base = g.push_frame(FuncId(1), 2, Some(Var(0)));
+        assert_eq!((base, g.base), (2, 2), "the callee's locals follow the caller's");
+        g.stack[base + 1] = Value::Ref(h2);
         g.pending_lock = Some(h1);
+        // Caller frame first, then the callee, then the pending relock.
         let roots: Vec<_> = g.stack_roots().collect();
-        assert_eq!(roots, vec![h1, h1]);
+        assert_eq!(roots, vec![h1, h2, h1]);
+        assert_eq!(g.stack_bytes(), 2048 + 2 * 64 + 4 * 16);
     }
 
     #[test]
@@ -384,20 +416,16 @@ mod tests {
         let mut heap: golf_heap::Heap<crate::object::Object> = golf_heap::Heap::new();
         let h = heap.alloc(crate::object::Object::Sema);
         let mut g = mk(GStatus::Runnable);
-        g.frames.push(Frame {
-            func: FuncId(0),
-            pc: 0,
-            locals: vec![Value::Int(1), Value::Ref(h)],
-            ret_dst: None,
-        });
+        let base = g.push_frame(FuncId(0), 2, None);
+        g.stack[base..].copy_from_slice(&[Value::Int(1), Value::Ref(h)]);
         let before = g.liveness_fingerprint();
         // Advancing the pc and bumping a non-reference local models pure
         // computation between cycles: the GC outcome cannot change.
         g.frames[0].pc = 17;
-        g.frames[0].locals[0] = Value::Int(99);
+        g.stack[base] = Value::Int(99);
         assert_eq!(g.liveness_fingerprint(), before);
         // A reference local changing is a root change.
-        g.frames[0].locals[1] = Value::Nil;
+        g.stack[base + 1] = Value::Nil;
         assert_ne!(g.liveness_fingerprint(), before);
     }
 

@@ -1,6 +1,7 @@
 //! The instruction interpreter: fetch/decode/execute for one goroutine step.
 
-use crate::goroutine::Gid;
+use crate::func::ProgramSet;
+use crate::goroutine::{Frame, Gid};
 use crate::instr::{BinOp, Instr};
 use crate::object::{MutexState, Object, SliceVals};
 use crate::value::Value;
@@ -8,6 +9,7 @@ use crate::vm::{operand, Alarm, Exec, Finalizer, Op, Panic, Vm};
 use golf_trace::TraceEvent;
 use rand::Rng;
 use std::cmp::Reverse;
+use std::sync::Arc;
 
 const FIELD: Op = Op::Builtin("field access");
 const APPEND: Op = Op::Builtin("append");
@@ -20,10 +22,13 @@ impl Vm {
     /// finishes, yields or panics, and says whether the program crashed.
     /// Out of line with the interpreter inlined, an idle tick stays small
     /// and an instruction costs no call (golfbench heap_churn, corpus_sweep).
+    /// The program is shared once per quantum, so that each instruction is
+    /// borrowed from it rather than copied.
     #[inline(never)]
     pub(crate) fn run_quantum(&mut self, gid: Gid, quantum: u32) -> bool {
+        let program = Arc::clone(&self.program);
         for _ in 0..quantum {
-            match self.exec_one(gid).unwrap_or_else(|p| self.goroutine_panic(gid, p)) {
+            match self.exec_one(&program, gid).unwrap_or_else(|p| self.goroutine_panic(gid, p)) {
                 Exec::Continue if self.fatal.is_some() => return true,
                 Exec::Continue => {}
                 Exec::Parked | Exec::Finished | Exec::Yielded => break,
@@ -36,7 +41,7 @@ impl Vm {
     /// instead. The pc is advanced *before* execution so blocking
     /// operations resume after themselves on wake.
     #[inline(always)]
-    fn exec_one(&mut self, gid: Gid) -> Result<Exec, Panic> {
+    fn exec_one(&mut self, program: &ProgramSet, gid: Gid) -> Result<Exec, Panic> {
         // A pending cond-wait relock takes priority over the next instruction.
         if let Some(mu) = self.g_mut(gid).and_then(|g| g.pending_lock.take()) {
             if let e @ Exec::Parked = self.exec_lock(gid, Value::Ref(mu))? {
@@ -48,13 +53,12 @@ impl Vm {
         let frame = g.frames.last_mut().expect("executing frameless goroutine");
         let func = frame.func;
         let pc = frame.pc;
-        let code = &self.program.func(func).code;
-        debug_assert!(pc < code.len(), "pc past end of {}", self.program.func(func).name);
-        let instr = code[pc].clone();
+        let code = &program.func(func).code;
+        debug_assert!(pc < code.len(), "pc past end of {}", program.func(func).name);
         frame.pc = pc + 1;
         self.instrs += 1;
 
-        Ok(match instr {
+        Ok(match code[pc] {
             Instr::Const(dst, v) => {
                 self.write_var(gid, dst, v);
                 Exec::Continue
@@ -99,39 +103,35 @@ impl Vm {
                 }
                 Exec::Continue
             }
-            Instr::Call { func: callee, args, dst } => {
-                let f = self.program.func(callee);
+            Instr::Call { func: callee, ref args, dst } => {
+                let f = program.func(callee);
                 debug_assert_eq!(args.len(), f.n_params, "arity mismatch calling {}", f.name);
-                let n_locals = f.n_locals;
-                let mut locals = vec![Value::Nil; n_locals];
-                for (i, a) in args.iter().enumerate() {
-                    locals[i] = self.read_var(gid, *a);
-                }
                 let g = &mut self.goroutines[gid.index() as usize];
-                g.frames.push(crate::goroutine::Frame {
-                    func: callee,
-                    pc: 0,
-                    locals,
-                    ret_dst: dst,
-                });
+                let caller = g.base;
+                let base = g.push_frame(callee, f.n_locals, dst);
+                for (i, a) in args.iter().enumerate() {
+                    g.stack[base + i] = g.stack[caller..base][a.index()];
+                }
                 Exec::Continue
             }
             Instr::Return(val) => {
                 let v = val.map(|v| self.read_var(gid, v)).unwrap_or(Value::Nil);
                 let g = &mut self.goroutines[gid.index() as usize];
                 let frame = g.frames.pop().expect("return without frame");
-                if g.frames.is_empty() {
+                let Some(&Frame { base, .. }) = g.frames.last() else {
                     self.finish_goroutine(gid);
                     return Ok(Exec::Finished);
-                }
+                };
+                g.base = base;
+                g.stack.truncate(frame.base);
                 if let Some(dst) = frame.ret_dst {
                     self.write_var(gid, dst, v);
                 }
                 Exec::Continue
             }
-            Instr::Go { func, args, site } => {
-                let vals: Vec<Value> = args.iter().map(|a| self.read_var(gid, *a)).collect();
-                self.spawn(func, &vals, Some(site), false, Some(gid));
+            Instr::Go { func, ref args, site } => {
+                let arg = |vm: &Self, i: usize| vm.read_var(gid, args[i]);
+                self.spawn(func, args.len(), arg, Some(site), false, Some(gid));
                 Exec::Continue
             }
             Instr::Yield => Exec::Yielded,
@@ -145,12 +145,12 @@ impl Vm {
                 self.sleep_until(gid, self.tick + ticks)
             }
 
-            Instr::NewStruct { ty, fields, dst } => {
+            Instr::NewStruct { ty, ref fields, dst } => {
                 debug_assert_eq!(
                     fields.len(),
-                    self.program.struct_ty(ty).fields.len(),
+                    program.struct_ty(ty).fields.len(),
                     "field arity mismatch constructing {}",
-                    self.program.struct_ty(ty).name
+                    program.struct_ty(ty).name
                 );
                 let vals: Vec<Value> = fields.iter().map(|f| self.read_var(gid, *f)).collect();
                 let h = self.heap.alloc(Object::Struct { ty, fields: vals });
@@ -286,8 +286,8 @@ impl Vm {
                 let chv = self.read_var(gid, ch);
                 self.exec_close(gid, chv)?
             }
-            Instr::Select { cases, default_target } => {
-                self.exec_select(gid, &cases, default_target)?
+            Instr::Select { ref cases, default_target } => {
+                self.exec_select(gid, cases, default_target)?
             }
 
             Instr::NewMutex(dst) => {
@@ -392,11 +392,6 @@ impl Vm {
             Instr::Panic(msg) => return Err(Panic::Go(msg)),
             Instr::Nop => Exec::Continue,
         })
-    }
-
-    fn set_pc(&mut self, gid: Gid, pc: usize) {
-        let g = &mut self.goroutines[gid.index() as usize];
-        g.frames.last_mut().expect("no frame").pc = pc;
     }
 }
 

@@ -60,23 +60,24 @@ impl Vm {
     /// Policy-driven variant of [`Vm::next_runnable`]: presents the valid
     /// runnable candidates (run-queue order) to `policy` and dequeues its
     /// pick. Returns the pick plus the candidate count (for the
-    /// `sched_pick` trace event). Consumes no VM RNG.
+    /// `sched_pick` trace event). Consumes no VM RNG, and lists the
+    /// candidates in the VM's reused buffer.
     fn next_runnable_policy(&mut self, policy: &mut dyn SchedPolicy) -> Option<(Gid, u32)> {
-        let mut candidates: Vec<Gid> = Vec::with_capacity(self.run_queue.len());
+        self.candidates.clear();
         for &gid in &self.run_queue {
             let g = &self.goroutines[gid.index() as usize];
             if g.id == gid && g.status == GStatus::Runnable {
-                candidates.push(gid);
+                self.candidates.push(gid);
             }
         }
-        if candidates.is_empty() {
+        let n = self.candidates.len();
+        if n == 0 {
             for gid in self.run_queue.drain(..) {
                 self.queued[gid.index() as usize] = false;
             }
             return None;
         }
-        let choice = policy.pick(self.tick, &candidates).min(candidates.len() - 1);
-        let chosen = candidates[choice];
+        let chosen = self.candidates[policy.pick(self.tick, &self.candidates).min(n - 1)];
         // Drop the chosen entry and every stale entry from the queue.
         let Vm { run_queue, goroutines, queued, .. } = self;
         let mut taken = false;
@@ -90,7 +91,7 @@ impl Vm {
             }
             keep
         });
-        Some((chosen, candidates.len() as u32))
+        Some((chosen, n as u32))
     }
 
     /// Runs one scheduler round: fire due timers, wake due sleepers, then

@@ -269,6 +269,11 @@ pub struct Vm {
     pub(crate) timer_seq: u64,
     /// The alarms due this tick; kept across ticks to reuse its buffer.
     pub(crate) due: Vec<Alarm>,
+    /// A `select`'s ready cases; kept across selects to reuse its buffer.
+    pub(crate) select_ready: Vec<usize>,
+    /// A scheduling policy's candidates; kept across picks to reuse its
+    /// buffer.
+    pub(crate) candidates: Vec<Gid>,
     pub(crate) rng: StdRng,
     pub(crate) config: VmConfig,
     pub(crate) tick: u64,
@@ -315,6 +320,8 @@ impl Vm {
             alarms: BinaryHeap::new(),
             timer_seq: 0,
             due: Vec::new(),
+            select_ready: Vec::new(),
+            candidates: Vec::new(),
             rng: StdRng::seed_from_u64(config.seed),
             config,
             tick: 0,
@@ -329,7 +336,7 @@ impl Vm {
             tracer: Tracer::new(),
             sched_policy: None,
         };
-        let main = vm.spawn(entry, args, None, false, None);
+        let main = vm.spawn(entry, args.len(), |_, i| args[i], None, false, None);
         vm.main = main;
         vm
     }
@@ -439,27 +446,27 @@ impl Vm {
 
     // ---- goroutine management ----
 
-    /// Spawns a goroutine, recycling a dead slot when available (Go's `*g`
-    /// reuse, paper §5.4).
+    /// Spawns a goroutine running `func` on `n_args` arguments, `arg(vm, i)`
+    /// being the `i`th, recycling a dead slot and its buffers when one is
+    /// free (Go's `*g` reuse, paper §5.4).
     pub(crate) fn spawn(
         &mut self,
         func: FuncId,
-        args: &[Value],
+        n_args: usize,
+        arg: impl Fn(&Self, usize) -> Value,
         site: Option<SiteId>,
         internal: bool,
         parent: Option<Gid>,
     ) -> Gid {
         let f = self.program.func(func);
-        assert_eq!(args.len(), f.n_params, "arity mismatch calling {}", f.name);
-        let mut locals = vec![Value::Nil; f.n_locals];
-        locals[..args.len()].copy_from_slice(args);
-        let frame = crate::goroutine::Frame { func, pc: 0, locals, ret_dst: None };
+        assert_eq!(n_args, f.n_params, "arity mismatch calling {}", f.name);
+        let n_locals = f.n_locals;
 
         let gid = if let Some(idx) = self.gfree.pop() {
-            let old = &self.goroutines[idx as usize];
-            debug_assert_eq!(old.status, GStatus::Dead);
-            let gid = Gid::new(idx, old.id.generation() + 1);
-            self.goroutines[idx as usize] = Goroutine::new(gid);
+            let g = &mut self.goroutines[idx as usize];
+            debug_assert_eq!(g.status, GStatus::Dead);
+            let gid = Gid::new(idx, g.id.generation() + 1);
+            g.recycle(gid);
             self.counters.reused += 1;
             gid
         } else {
@@ -470,8 +477,13 @@ impl Vm {
             gid
         };
 
-        let g = &mut self.goroutines[gid.index() as usize];
-        g.frames.push(frame);
+        let idx = gid.index() as usize;
+        let base = self.goroutines[idx].push_frame(func, n_locals, None);
+        for i in 0..n_args {
+            let v = arg(self, i);
+            self.goroutines[idx].stack[base + i] = v;
+        }
+        let g = &mut self.goroutines[idx];
         g.spawn_site = site;
         g.internal = internal;
         self.counters.spawned += 1;
@@ -491,7 +503,7 @@ impl Vm {
     /// Spawns a runtime-internal goroutine (finalizer runner etc.). Internal
     /// goroutines are never deadlock candidates.
     pub fn spawn_internal(&mut self, func: FuncId, args: &[Value]) -> Gid {
-        self.spawn(func, args, None, true, None)
+        self.spawn(func, args.len(), |_, i| args[i], None, true, None)
     }
 
     /// Looks up a goroutine. Returns `None` for stale gids (recycled slots).
@@ -592,7 +604,7 @@ impl Vm {
         let is_main = gid == self.main;
         let g = self.g_mut(gid).expect("finishing a stale goroutine");
         g.status = GStatus::Dead;
-        g.frames.clear();
+        g.clear_stack();
         g.blocked = Blocked::None;
         g.pending_lock = None;
         g.wait_token += 1;
@@ -630,7 +642,7 @@ impl Vm {
         let g = self.g_mut(gid).expect("validated above");
         g.pending_lock = None;
         g.status = GStatus::Dead;
-        g.frames.clear();
+        g.clear_stack();
         g.wait_token += 1;
         self.gfree.push(gid.index());
         self.counters.forced_shutdowns += 1;
@@ -731,22 +743,25 @@ impl Vm {
 
     pub(crate) fn read_var(&self, gid: Gid, var: Var) -> Value {
         let g = &self.goroutines[gid.index() as usize];
-        let frame = g.frames.last().expect("no frame");
-        frame.locals[var.index()]
+        g.stack[g.base + var.index()]
     }
 
     pub(crate) fn write_var(&mut self, gid: Gid, var: Var, val: Value) {
         let g = &mut self.goroutines[gid.index() as usize];
-        let frame = g.frames.last_mut().expect("no frame");
-        frame.locals[var.index()] = val;
+        g.stack[g.base + var.index()] = val;
+    }
+
+    /// Moves `gid`'s top frame to `pc`.
+    pub(crate) fn set_pc(&mut self, gid: Gid, pc: usize) {
+        let g = &mut self.goroutines[gid.index() as usize];
+        g.frames.last_mut().expect("no frame").pc = pc;
     }
 
     /// Resumes a goroutine popped from a channel wait queue: a select case
     /// first moves its pc to the case's arm, then the goroutine wakes.
     pub(crate) fn resume<T>(&mut self, w: &Waiter<T>) {
         if let Some(t) = w.select_target {
-            let g = &mut self.goroutines[w.gid.index() as usize];
-            g.frames.last_mut().expect("no frame").pc = t;
+            self.set_pc(w.gid, t);
         }
         self.wake(w.gid, w.token);
     }
